@@ -314,7 +314,7 @@ def _read_payload(args) -> dict:
                 raise InputError(f"cannot read {args.input}: {exc}") from exc
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also integers past Python's int-string limit
             raise InputError(f"invalid JSON input: {exc}") from exc
     for key in ("A", "phi", "form", "bhat"):
         val = getattr(args, key, None)
@@ -323,7 +323,7 @@ def _read_payload(args) -> dict:
                 raise InputError("inline flags need an object payload")
             try:
                 payload[key] = json.loads(val)
-            except json.JSONDecodeError:
+            except ValueError:
                 payload[key] = val
     lam = getattr(args, "lam", None)
     if lam is not None:
@@ -410,6 +410,7 @@ def main(argv=None) -> int:
     try:
         payload = _read_payload(args)
         out = dispatch(command, payload, _options(args))
+        text = canonical_json(out)
     except InputError as exc:
         print(canonical_json({"error": "malformed-input", "detail": str(exc)}))
         return 2
@@ -424,7 +425,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(canonical_json({"error": "domain-error", "detail": str(exc)}))
         return 1
-    print(canonical_json(out))
+    print(text)
     if command == ("scenario", "run-all") and not out.get("all_pass", False):
         return 1
     return 0

@@ -4,7 +4,10 @@ Output is deterministic: scalars print as JSON integers when they are
 rational integers and otherwise as canonical lowest-terms strings such as
 "1/2" or "1/2-3/4i"; objects are emitted with sorted keys by the CLI.
 Input accepts integers, the string forms, and {"re": "a/b", "im": "c/d"}
-objects interchangeably wherever a scalar is expected.
+objects interchangeably wherever a scalar is expected.  A scalar literal
+may have at most MAX_LITERAL_DIGITS digits in its numerator and in its
+denominator, and a decimal exponent of at most MAX_LITERAL_DIGITS in
+absolute value; longer literals are refused before any integer is built.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ from .torus import AzCircleMorphism, Component, HomologyClass, SurrogateClass, T
 
 
 class InputError(Exception):
-    """Malformed input payload (schema or scalar syntax)."""
+    """Malformed input payload (schema, shape or scalar syntax)."""
+
+
+MAX_LITERAL_DIGITS = 1000
+_INT_LIMIT = 10**MAX_LITERAL_DIGITS
 
 
 # ---------------------------------------------------------------------------
@@ -34,18 +41,41 @@ def parse_scalar(obj) -> GaussianRational:
         if isinstance(obj, bool):
             raise InputError(f"not a scalar: {obj!r}")
         if isinstance(obj, int):
+            if abs(obj) >= _INT_LIMIT:
+                raise InputError(f"integer exceeds the limit of {MAX_LITERAL_DIGITS} digits")
             return GaussianRational(obj)
         if isinstance(obj, str):
             return _parse_scalar_string(obj)
         if isinstance(obj, dict):
             return GaussianRational(
-                Fraction(str(obj.get("re", 0))), Fraction(str(obj.get("im", 0)))
+                _fraction(str(obj.get("re", 0))), _fraction(str(obj.get("im", 0)))
             )
     except InputError:
         raise
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar {obj!r}: {exc}") from exc
     raise InputError(f"cannot read a scalar from {obj!r}")
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a literal past the digit limits first."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if exponent:
+        exponent = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        if len(exponent) > len(str(MAX_LITERAL_DIGITS)) or (
+            exponent.isdigit() and int(exponent) > MAX_LITERAL_DIGITS
+        ):
+            raise InputError(
+                f"decimal exponent of {text[:40]!r} exceeds the limit of {MAX_LITERAL_DIGITS}"
+            )
+    if len(mantissa) > MAX_LITERAL_DIGITS and any(
+        sum(ch.isdigit() for ch in part) > MAX_LITERAL_DIGITS for part in mantissa.split("/")
+    ):
+        raise InputError(
+            f"numerator or denominator of {text[:40]!r} exceeds the limit of "
+            f"{MAX_LITERAL_DIGITS} digits"
+        )
+    return Fraction(text)
 
 
 def _parse_scalar_string(s: str) -> GaussianRational:
@@ -63,8 +93,8 @@ def _parse_scalar_string(s: str) -> GaussianRational:
             im_part = "1"
         elif im_part == "-":
             im_part = "-1"
-        return GaussianRational(Fraction(re_part), Fraction(im_part))
-    return GaussianRational(Fraction(s))
+        return GaussianRational(_fraction(re_part), _fraction(im_part))
+    return GaussianRational(_fraction(s))
 
 
 def scalar_json(g: GaussianRational):
@@ -84,10 +114,14 @@ def scalar_string(g: GaussianRational) -> str:
 
 
 def parse_matrix(obj) -> Matrix:
+    """A square matrix: n nonempty rows of n scalars each."""
     if isinstance(obj, dict) and "matrix" in obj:
         obj = obj["matrix"]
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputError("a matrix is a nonempty nested array")
+    bad = next((row for row in obj if len(row) != len(obj)), None)
+    if bad is not None:
+        raise InputError(f"not a square matrix: {len(obj)} row(s), one of {len(bad)} entries")
     return Matrix([[parse_scalar(x) for x in row] for row in obj])
 
 
@@ -149,7 +183,10 @@ def parse_rep_point(obj) -> RepPoint:
         mats = [parse_matrix(m) for m in obj["matrices"]]
     except KeyError as exc:
         raise InputError(f"representation point needs {exc}") from exc
-    t = RepPoint(variables, mats)
+    try:
+        t = RepPoint(variables, mats)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if "r" in obj and int(obj["r"]) != t.r:
         raise InputError("declared rank does not match the matrices")
     return t

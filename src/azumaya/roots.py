@@ -1,147 +1,150 @@
 """Complete linear factorization of univariate polynomials over Q(i).
 
-The method is elementary and complete for split polynomials at desk scale:
-clear denominators to Z[i], enumerate candidate roots a/b with a dividing
-the constant term and b dividing the leading term (rational root theorem
-in the UFD Z[i], up to units), deflate on every root found, and repeat.
-If the remaining factor has positive degree and no candidate root, the
-polynomial does not split over Q(i) and SpectrumNotSplit is raised.
+Modular method (Loos, SIAM J. Comput. 12(2), 1983; von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 14-15).  The squarefree part h of
+p, cleared to Z[i] and made monic as g(y) = lc^(n-1) h(y/lc), has the roots
+y = lc*x for the roots x of p in Q(i).  They are found mod the first prime
+q = 3 (mod 4) with g squarefree mod q, in F_{q^2} = Z[i]/(q), by
+Cantor-Zassenhaus; Newton-lifted past twice a Cauchy bound; and kept if g
+vanishes on them exactly.  Each is a simple root mod q and lifts uniquely,
+so none is missed: a factor of p left after deflating by every root has no
+root in Q(i), and SpectrumNotSplit names it.  Gaussian integers are (a, b)
+int pairs; polynomials over them are lists of pairs, lowest degree first.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import SpectrumNotSplit
 from .poly import UniPoly
 from .scalars import GaussianRational, ZERO
-
-# Gaussian integers are plain (a, b) int pairs meaning a + b*i.
-
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def _gi_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _gi_norm(x) -> int:
-    return x[0] * x[0] + x[1] * x[1]
+def _gi_inv(x, m):
+    """x^-1 mod m, for m a power of a prime q = 3 (mod 4) and x != 0 mod q."""
+    t = pow(x[0] * x[0] + x[1] * x[1], -1, m)
+    return (x[0] * t % m, -x[1] * t % m)
 
 
-def _gi_exact_div(x, y):
-    """x / y if y divides x in Z[i], else None."""
-    n = _gi_norm(y)
-    if n == 0:
-        return None
-    xr = x[0] * y[0] + x[1] * y[1]
-    xi = x[1] * y[0] - x[0] * y[1]
-    if xr % n or xi % n:
-        return None
-    return (xr // n, xi // n)
+def _eval(f, x, m=0):
+    """f(x), reduced mod m, or exact when m is 0."""
+    a = b = 0
+    for c, d in reversed(f):
+        a, b = a * x[0] - b * x[1] + c, a * x[1] + b * x[0] + d
+        if m:
+            a, b = a % m, b % m
+    return (a, b)
 
 
-def _factor_int(n: int) -> dict:
-    """Trial-division factorization; inputs here are desk scale."""
-    out = {}
-    n = abs(n)
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+def _reduce(f, q):
+    """f over F_{q^2}: pairs reduced mod q, zero leading pairs dropped."""
+    f = [(a % q, b % q) for a, b in f]
+    while f and f[-1] == (0, 0):
+        f.pop()
+    return f
+
+
+def _sub(f, g, q):
+    n = max(len(f), len(g))
+    f, g = f + [(0, 0)] * (n - len(f)), g + [(0, 0)] * (n - len(g))
+    return _reduce([(a - c, b - d) for (a, b), (c, d) in zip(f, g)], q)
+
+
+def _divmod(f, g, q):
+    """Quotient and remainder of f by g over F_{q^2}; f may be unreduced."""
+    f, quo = list(f), []
+    inv = _gi_inv(g[-1], q)
+    while len(f) >= len(g):
+        a, b = _gi_mul(f.pop(), inv)
+        quo.append((a % q, b % q))
+        k = len(f) - len(g) + 1
+        for j in range(len(g) - 1):
+            a, b = _gi_mul(quo[-1], g[j])
+            f[k + j] = (f[k + j][0] - a, f[k + j][1] - b)
+    return quo[::-1], _reduce(f, q)
+
+
+def _gcd(f, g, q):
+    while g:
+        f, g = g, _divmod(f, g, q)[1]
+    return f
+
+
+def _powmod(f, e, h, q):
+    """f^e mod h over F_{q^2}, by repeated squaring."""
+    def mulmod(u, v):
+        re, im = [0] * (len(u) + len(v) - 1), [0] * (len(u) + len(v) - 1)
+        for i, (a, b) in enumerate(u):
+            for j, (c, d) in enumerate(v):
+                re[i + j] += a * c - b * d
+                im[i + j] += a * d + b * c
+        return _divmod(list(zip(re, im)), h, q)[1]
+    out = [(1, 0)]
+    while e:
+        if e & 1:
+            out = mulmod(out, f)
+        f = mulmod(f, f)
+        e >>= 1
     return out
 
 
-def _two_squares(p: int):
-    """x, y > 0 with x^2 + y^2 = p, for a prime p = 1 mod 4."""
-    for x in range(1, isqrt(p) + 1):
-        y2 = p - x * x
-        y = isqrt(y2)
-        if y * y == y2:
-            return (x, y)
-    raise AssertionError(f"{p} is not a sum of two squares")  # pragma: no cover
+def _split(f, q):
+    """The roots in F_{q^2} of f, a product of distinct linear factors."""
+    if len(f) < 2:
+        return []
+    if len(f) == 2:
+        a, b = _gi_mul(f[0], _gi_inv(f[1], q))
+        return [(-a % q, -b % q)]
+    # (y + a)^((q^2 - 1)/2) is 1 exactly at the roots r with r + a a nonzero
+    # square, and some shift a in F_{q^2} separates any two roots
+    for k in range(q * q):
+        w = _powmod([(k % q, k // q), (1, 0)], (q * q - 1) // 2, f, q)
+        h = _gcd(f, _sub(w, [(1, 0)], q), q)
+        if 2 <= len(h) < len(f):
+            return _split(h, q) + _split(_divmod(f, h, q)[0], q)
+    raise AssertionError("no shift splits a squarefree product")  # pragma: no cover
 
 
-def _gaussian_prime_divisors(g):
-    """Gaussian primes dividing g (one per associate class), with multiplicity."""
+def _lift(g, dg, r, q, bound):
+    """Newton-lift the simple root r of g mod q until the modulus exceeds
+    2 * bound; the symmetric residue is the only candidate root in Z[i]."""
+    m = q
+    while m <= 2 * bound:
+        m *= m
+        a, b = _gi_mul(_eval(g, r, m), _gi_inv(_eval(dg, r, m), m))
+        r = ((r[0] - a) % m, (r[1] - b) % m)
+    return tuple(c - m if c > m // 2 else c for c in r)
+
+
+def _distinct_roots(p: UniPoly):
+    """The distinct roots in Q(i) of p, of degree >= 2 with p(0) != 0."""
+    d = p.gcd(p.deriv())
+    h = p if d.degree == 0 else p.exact_div(d)
+    # h with denominators cleared, then g(y) = lc^(n-1) h(y / lc) over Z[i]
+    den = lcm(*(f.denominator for z in h.coeffs for f in (z.re, z.im)))
+    c = [(int(z.re * den), int(z.im * den)) for z in h.coeffs]
+    g, power = [(1, 0)], (1, 0)
+    for ck in reversed(c[:-1]):
+        g.append(_gi_mul(ck, power))
+        power = _gi_mul(power, c[-1])
+    g.reverse()
+    dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
+    q = 3  # the first prime q = 3 (mod 4) with gcd(g, g') = 1 over F_{q^2}
+    while not all(q % t for t in range(3, isqrt(q) + 1, 2)) or len(
+            _gcd(_reduce(g, q), _reduce(dg, q), q)) > 1:
+        q += 4
+    gq, x = _reduce(g, q), [(0, 0), (1, 0)]
+    bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
     out = []
-    for p, _ in _factor_int(_gi_norm(g)).items():
-        if p == 2:
-            cands = [(1, 1)]
-        elif p % 4 == 3:
-            cands = [(p, 0)]
-        else:
-            x, y = _two_squares(p)
-            cands = [(x, y), (x, -y)]
-        for pi in cands:
-            h = g
-            e = 0
-            while True:
-                q = _gi_exact_div(h, pi)
-                if q is None:
-                    break
-                h = q
-                e += 1
-            if e:
-                out.append((pi, e))
-    return out
-
-
-def _divisors(g):
-    """All divisors of a nonzero Gaussian integer, up to unit multiples."""
-    divs = [(1, 0)]
-    for pi, e in _gaussian_prime_divisors(g):
-        grown = []
-        for d in divs:
-            cur = d
-            grown.append(cur)
-            for _ in range(e):
-                cur = _gi_mul(cur, pi)
-                grown.append(cur)
-        divs = grown
-    return divs
-
-
-def _clear_denominators(p: UniPoly):
-    """Scale to Gaussian-integer coefficients; returns the (a, b) list."""
-    lcm = 1
-    for c in p.coeffs:
-        for f in (c.re, c.im):
-            lcm = lcm * f.denominator // _gcd(lcm, f.denominator)
-    out = []
-    for c in p.coeffs:
-        out.append((int(c.re * lcm), int(c.im * lcm)))
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _candidate_roots(p: UniPoly):
-    coeffs = _clear_denominators(p)
-    c0, cn = coeffs[0], coeffs[-1]
-    seen = set()
-    out = []
-    for a in _divisors(c0):
-        num = GaussianRational(Fraction(a[0]), Fraction(a[1]))
-        for b in _divisors(cn):
-            den = GaussianRational(Fraction(b[0]), Fraction(b[1]))
-            base = num / den
-            for u in _UNITS:
-                cand = base * GaussianRational(u[0], u[1])
-                key = (cand.re, cand.im)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(cand)
-    out.sort(key=GaussianRational.sort_key)
+    for r in _split(_gcd(gq, _sub(_powmod(x, q * q, gq, q), x, q), q), q):
+        y = _lift(g, dg, r, q, bound)
+        if _eval(g, y) == (0, 0):
+            out.append(GaussianRational(*y) / GaussianRational(*c[-1]))
     return out
 
 
@@ -170,19 +173,15 @@ def split_roots(p: UniPoly):
     if k0:
         roots[ZERO] = k0
         p = UniPoly(p.var, p.coeffs[k0:])
-    while p.degree >= 1:
-        if p.degree == 1:
-            r = -p.coeffs[0] / p.coeffs[1]
-            roots[r] = roots.get(r, 0) + 1
-            break
-        found = None
-        for cand in _candidate_roots(p):
-            if p(cand).is_zero():
-                found = cand
-                break
-        if found is None:
+    if p.degree == 1:
+        roots[-p.coeffs[0] / p.coeffs[1]] = 1
+    elif p.degree >= 2:
+        for r in _distinct_roots(p):
+            p = _deflate(p, r)
+            roots[r] = 1
+            while p(r).is_zero():
+                p = _deflate(p, r)
+                roots[r] += 1
+        if p.degree >= 1:
             raise SpectrumNotSplit(f"no linear factorization over Q(i): {p}")
-        while p.degree >= 1 and p(found).is_zero():
-            p = _deflate(p, found)
-            roots[found] = roots.get(found, 0) + 1
     return tuple(sorted(roots.items(), key=lambda kv: kv[0].sort_key()))

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -139,3 +140,61 @@ def test_weyl_and_orbit_cli():
     assert code == 0
     data = json.loads(out)
     assert data["j1_precedes_j2"] is True and data["j2_precedes_j1"] is False
+
+
+def run_main(args, stdin, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = main(args + ["--input", "-"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["hilbert-chow"], [[1, 2]]),
+        (["hilbert-chow"], [[]]),
+        (["hilbert-chow"], [[1, 2], [3]]),
+        (["image"], {"vars": ["z"], "matrices": [[[1, 2]]]}),
+        (["rep-check"], {"vars": ["x", "y"], "matrices": [[[1]], [[1, 0], [0, 1]]]}),
+    ],
+)
+def test_shape_errors_are_malformed_input(command, payload, monkeypatch, capsys):
+    code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
+    assert code == 2 and out["error"] == "malformed-input"
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["hilbert-chow"], [["1e100000"]]),
+        (["image"], {"vars": ["z"], "matrices": [[["1e100000"]]]}),
+    ],
+    ids=["hilbert-chow", "image"],
+)
+def test_oversized_literal_refused(command, payload, monkeypatch, capsys):
+    code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
+    assert code == 2
+    assert out == {
+        "error": "malformed-input",
+        "detail": f"decimal exponent of '1e100000' exceeds the limit of {jsonio.MAX_LITERAL_DIGITS}",
+    }
+
+
+def test_literal_digit_limits():
+    limit = jsonio.MAX_LITERAL_DIGITS
+    assert jsonio.parse_scalar("1e%d" % limit) == gr(10**limit)
+    assert jsonio.parse_scalar("1/" + "7" * limit).re.denominator == int("7" * limit)
+    assert jsonio.parse_scalar(10**limit - 1) == gr(10**limit - 1)
+    for bad in ("1e%d" % (limit + 1), "2.5E-100000000", "9" * (limit + 1) + "i",
+                "1/" + "7" * (limit + 1), {"re": "1", "im": "1e9999"}, 10**limit):
+        with pytest.raises(InputError, match="limit"):
+            jsonio.parse_scalar(bad)
+
+
+def test_output_past_the_int_string_limit_is_a_typed_error(monkeypatch, capsys):
+    # five 1000-digit eigenvalues give a 5000-digit determinant, past
+    # Python's 4300-digit int-to-string limit: one JSON error line, exit 1
+    big = [10**999 + k for k in range(5)]
+    rows = [[big[i] if i == j else 0 for j in range(5)] for i in range(5)]
+    code, out = run_main(["hilbert-chow"], json.dumps(rows), monkeypatch, capsys)
+    assert code == 1 and out["error"] == "domain-error"

@@ -1,10 +1,15 @@
+import io
+import json
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from azumaya.cli import main
 from azumaya.errors import SpectrumNotSplit
-from azumaya.linalg import char_poly
+from azumaya.linalg import Matrix, char_poly
 from azumaya.poly import UniPoly
 from azumaya.roots import split_roots
 from azumaya.scalars import I, gr
@@ -58,3 +63,93 @@ def test_upper_triangular_spectrum_is_diagonal():
             diag[(d.re, d.im)] = diag.get((d.re, d.im), 0) + 1
         roots = split_roots(char_poly(t, "z"))
         assert {(rt.re, rt.im): m for rt, m in roots} == diag
+
+
+def _gauss_rational(rng, height):
+    return gr(
+        Fraction(rng.randint(-height, height), rng.randint(1, 4)),
+        Fraction(rng.randint(-height, height), rng.randint(1, 3)) if rng.random() < 0.6 else 0,
+    )
+
+
+def test_split_matches_roots_known_by_construction():
+    # lc * prod (z - r)^m * prod ((z - s)^2 - k)^e: the quadratics are
+    # irreducible over Q(i) since neither k nor -k is a rational square, so
+    # the remaining factor named by SpectrumNotSplit is lc times their product
+    rng = random.Random(2023)
+    for _ in range(120):
+        height = rng.choice([1, 2, 5, 9, 40])
+        lc = _gauss_rational(rng, height)
+        while lc.is_zero():
+            lc = _gauss_rational(rng, height)
+        want = {}
+        for _ in range(rng.randint(0, 4)):
+            r = _gauss_rational(rng, height)
+            want[r] = want.get(r, 0) + rng.randint(1, 3)
+        rest = UniPoly.constant(lc, "z")
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            s = _gauss_rational(rng, 3)
+            k = rng.choice([2, 3, 5, 6, 7, -2, -3, -5, -6, -7])
+            rest = rest * ((z - s) ** 2 - k) ** rng.randint(1, 2)
+        p = rest
+        for r, m in want.items():
+            p = p * (z - r) ** m
+        if rest.degree == 0:
+            got = split_roots(p)
+            assert got == tuple(sorted(want.items(), key=lambda kv: kv[0].sort_key()))
+            assert sum(m for _, m in got) == p.degree
+        else:
+            with pytest.raises(SpectrumNotSplit) as err:
+                split_roots(p)
+            assert str(err.value) == f"no linear factorization over Q(i): {rest}"
+
+
+def test_prime_skipping():
+    # the discriminant 100947^2 = (3*7*11*19*23)^2 makes the roots collide
+    # mod every prime q = 3 (mod 4) up to 23, so those primes are passed over
+    assert 100947 == 3 * 7 * 11 * 19 * 23
+    p = (z - 1) * (z - 100948)
+    assert split_roots(p) == ((gr(1), 1), (gr(100948), 1))
+    assert split_roots(p * (z - 1) * (3 * z - 2)) == (
+        (gr(Fraction(2, 3)), 1), (gr(1), 2), (gr(100948), 1))
+    # all primes = 3 (mod 4) below 2000 collide: the first usable prime is
+    # past 2000, where the roots mod q are still found without a search
+    # over its q^2 residues
+    big = 1
+    for q in range(3, 2000, 4):
+        if all(q % t for t in range(3, int(q**0.5) + 1, 2)):
+            big *= q
+    assert split_roots((z - I) * (z - I - big)) == ((gr(0, 1), 1), (gr(big, 1), 1))
+
+
+@pytest.mark.parametrize(
+    "rows, roots, text",
+    [
+        (
+            [[1000000007, 0], [0, 998244353]],
+            ((gr(998244353), 1), (gr(1000000007), 1)),
+            '{"char_poly":[998244359987710471,-1998244360,1],'
+            '"roots":[{"mult":1,"root":"998244353"},{"mult":1,"root":"1000000007"}]}',
+        ),
+        (
+            [[0, 1], [999999999999999989, 0]],
+            None,
+            '{"char_poly":[-999999999999999989,0,1],"roots":null}',
+        ),
+    ],
+    ids=["split", "non-split"],
+)
+def test_large_eigenvalues(rows, roots, text, monkeypatch, capsys):
+    # a root finder that factors the constant term (about 10^18 here) by
+    # trial division runs for minutes on these
+    p = char_poly(Matrix(rows), "z")
+    start = time.perf_counter()
+    if roots is None:
+        with pytest.raises(SpectrumNotSplit):
+            split_roots(p)
+    else:
+        assert split_roots(p) == roots
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(rows)))
+    assert main(["hilbert-chow", "--input", "-"]) == 0
+    assert capsys.readouterr().out == text + "\n"
