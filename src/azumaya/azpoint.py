@@ -18,6 +18,7 @@ from .linalg import (
     commutator,
     kernel_basis,
     min_poly,
+    power_ranks,
     rank,
     ring_det,
     solve_exact,
@@ -280,16 +281,7 @@ def pushforward(t: RepPoint) -> PushforwardModule:
         n = Matrix.zeros(t.r)
         for i, (m, p_i) in enumerate(zip(t.matrices, pt), start=1):
             n = n + (m - Matrix.identity(t.r) * p_i) * i
-        nr = _restrict(n, basis)
-        ranks = []
-        power = nr
-        while True:
-            rk = rank(power)
-            if rk == 0:
-                break
-            ranks.append(rk)
-            power = power * nr
-        out.append((pt, len(basis), ranks))
+        out.append((pt, len(basis), power_ranks(_restrict(n, basis), 0)))
     return PushforwardModule(out)
 
 

@@ -409,8 +409,17 @@ def main(argv=None) -> int:
     command = (args.cmd,) if getattr(args, "subcmd", None) is None else (args.cmd, args.subcmd)
     try:
         payload = _read_payload(args)
-        out = dispatch(command, payload, _options(args))
-        text = canonical_json(out)
+        # jsonio.MAX_LITERAL_DIGITS bounds every input literal, but exact
+        # results can outgrow Python's int-to-string limit (five 1000-digit
+        # eigenvalues make a 5000-digit determinant): lift it while they
+        # are computed and written out.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            out = dispatch(command, payload, _options(args))
+            text = canonical_json(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except InputError as exc:
         print(canonical_json({"error": "malformed-input", "detail": str(exc)}))
         return 2

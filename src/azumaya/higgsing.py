@@ -25,10 +25,13 @@ from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO
 
 
-class PolyMatrix:
-    """Square matrix with univariate polynomial entries (one shared variable)."""
+class PolyMatrix(Matrix):
+    """Square matrix over Q(i)[var], one variable shared by all entries."""
 
-    __slots__ = ("r", "var", "entries")
+    _SEP = ", "
+    # bound here too, so that patching the product of one matrix class
+    # (as bench/tracer.py does) leaves the others alone
+    __mul__ = Matrix.__mul__
 
     def __init__(self, entries, var: str = "z"):
         grid = []
@@ -42,13 +45,9 @@ class PolyMatrix:
                 else:
                     new.append(UniPoly.constant(GaussianRational.coerce(e), var))
             grid.append(tuple(new))
-        self.entries = tuple(grid)
-        self.r = len(grid)
-        if any(len(row) != self.r for row in grid):
+        if any(len(row) != len(grid) for row in grid):
             raise ValueError("polynomial matrix must be square")
-        self.var = var
-
-    # -- constructors -----------------------------------------------------
+        self._fill(tuple(grid), (var,))
 
     @classmethod
     def zeros(cls, r: int, var: str = "z") -> "PolyMatrix":
@@ -58,117 +57,30 @@ class PolyMatrix:
     def identity(cls, r: int, var: str = "z") -> "PolyMatrix":
         return cls([[ONE if i == j else ZERO for j in range(r)] for i in range(r)], var)
 
-    @classmethod
-    def from_scalar_matrix(cls, m: Matrix, var: str = "z") -> "PolyMatrix":
-        return cls(m.rows, var)
-
-    # -- ring operations -----------------------------------------------------
-
-    def _same_shape(self, other: "PolyMatrix"):
-        if self.r != other.r:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._same_shape(other)
-        return PolyMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.var,
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._same_shape(other)
-        return PolyMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.var,
-        )
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-a for a in row] for row in self.entries], self.var)
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            self._same_shape(other)
-            r = self.r
-            out = []
-            for i in range(r):
-                row = []
-                for j in range(r):
-                    acc = UniPoly.zero(self.var)
-                    for k in range(r):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return PolyMatrix(out, self.var)
-        if isinstance(other, UniPoly):
-            return PolyMatrix(
-                [[a * other for a in row] for row in self.entries], self.var
-            )
-        c = GaussianRational.coerce(other)
-        return PolyMatrix([[a * c for a in row] for row in self.entries], self.var)
-
-    def __rmul__(self, other):
-        return self * other
+    @property
+    def var(self) -> str:
+        return self.vars[0]
 
     def deriv(self) -> "PolyMatrix":
         """Entrywise formal derivative in the matrix variable."""
-        return PolyMatrix([[a.deriv() for a in row] for row in self.entries], self.var)
+        return self._new([a.deriv() for a in row] for row in self.rows)
 
     def eval_at(self, z0) -> Matrix:
         z0 = GaussianRational.coerce(z0)
-        return Matrix([[a(z0) for a in row] for row in self.entries])
+        return Matrix([[a(z0) for a in row] for row in self.rows])
 
     def degree(self) -> int:
-        return max((a.degree for row in self.entries for a in row), default=-1)
+        return max((a.degree for row in self.rows for a in row), default=-1)
 
     def is_constant(self) -> bool:
         return self.degree() <= 0
 
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
-
     def constant_part(self) -> Matrix:
-        return Matrix([[a.constant_term() for a in row] for row in self.entries])
-
-    def trace(self) -> UniPoly:
-        acc = UniPoly.zero(self.var)
-        for i in range(self.r):
-            acc = acc + self.entries[i][i]
-        return acc
+        return Matrix([[a.constant_term() for a in row] for row in self.rows])
 
     def char_poly_bivariate(self, eig_var: str = "v") -> MultiPoly:
         """det(v*I - B) as an exact polynomial in (matrix variable, v)."""
-        return _det_shifted(self, eig_var)
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.var == other.var and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.var, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(", ".join(str(a) for a in row) for row in self.entries)
-        return f"[{body}]"
-
-
-def _lift(p: UniPoly, variables, index: int) -> MultiPoly:
-    return p.as_multi(variables, index)
-
-
-def _det_shifted(b: PolyMatrix, eig_var: str) -> MultiPoly:
-    variables = (b.var, eig_var)
-    zero = MultiPoly.zero(variables)
-    one = MultiPoly.constant(variables, ONE)
-    v = MultiPoly.variable(variables, eig_var)
-    grid = [
-        [
-            (v if i == j else zero) - _lift(b.entries[i][j], variables, 0)
-            for j in range(b.r)
-        ]
-        for i in range(b.r)
-    ]
-    return ring_det(grid, zero, one)
+        return spectral_curve(self, eig_var)
 
 
 def spectral_curve(phi: PolyMatrix, eig_var: str = "lambda") -> MultiPoly:
@@ -178,7 +90,14 @@ def spectral_curve(phi: PolyMatrix, eig_var: str = "lambda") -> MultiPoly:
     split spectrum, its eigenvalues are exactly the roots of the curve
     sliced at z0.
     """
-    return _det_shifted(phi, eig_var)
+    variables = (phi.var, eig_var)
+    zero = MultiPoly.zero(variables)
+    v = MultiPoly.variable(variables, eig_var)
+    grid = [
+        [(v if i == j else zero) - e.as_multi(variables, 0) for j, e in enumerate(row)]
+        for i, row in enumerate(phi.rows)
+    ]
+    return ring_det(grid, zero, MultiPoly.constant(variables, ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +110,7 @@ class HiggsProblem:
     __slots__ = ("a", "lam")
 
     def __init__(self, a: PolyMatrix, lam):
-        if a.r != 2:
+        if a.nrows != 2:
             raise ValueError("the closed-form theory is for 2x2 coefficient matrices")
         lam = GaussianRational.coerce(lam)
         if lam.is_zero():
@@ -224,7 +143,7 @@ def solvability_check(p: HiggsProblem) -> bool:
 
 def ode_residual(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
     """lam * dB/dz + A*B - B*A; b solves the system iff this is zero."""
-    if b.r != p.a.r:
+    if b.nrows != p.a.nrows:
         raise ValueError("dimension mismatch")
     return b.deriv() * p.lam + (p.a * b - b * p.a)
 

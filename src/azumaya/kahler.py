@@ -17,32 +17,35 @@ exposed as an oracle.
 
 from __future__ import annotations
 
+from .linalg import Matrix, commutator
 from .poly import MultiPoly
 from .scalars import GaussianRational, ONE
 
 
-class MPolyMatrix:
+class MPolyMatrix(Matrix):
     """Square matrix with multivariate polynomial entries over shared vars."""
 
-    __slots__ = ("r", "vars", "entries")
+    _SEP = ", "
+    # bound here too, so that patching the product of one matrix class
+    # (as bench/tracer.py does) leaves the others alone
+    __mul__ = Matrix.__mul__
 
     def __init__(self, variables, entries):
-        self.vars = tuple(variables)
+        variables = tuple(variables)
         grid = []
         for row in entries:
             new = []
             for e in row:
                 if isinstance(e, MultiPoly):
-                    if e.vars != self.vars:
+                    if e.vars != variables:
                         raise ValueError("entry variables mismatch")
                     new.append(e)
                 else:
-                    new.append(MultiPoly.constant(self.vars, e))
+                    new.append(MultiPoly.constant(variables, e))
             grid.append(tuple(new))
-        self.entries = tuple(grid)
-        self.r = len(grid)
-        if any(len(row) != self.r for row in grid):
+        if any(len(row) != len(grid) for row in grid):
             raise ValueError("matrix must be square")
+        self._fill(tuple(grid), variables)
 
     @classmethod
     def zeros(cls, variables, r: int) -> "MPolyMatrix":
@@ -55,76 +58,9 @@ class MPolyMatrix:
         o = MultiPoly.constant(variables, ONE)
         return cls(variables, [[o if i == j else z for j in range(r)] for i in range(r)])
 
-    def __add__(self, other: "MPolyMatrix") -> "MPolyMatrix":
-        self._compat(other)
-        return MPolyMatrix(
-            self.vars,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other: "MPolyMatrix") -> "MPolyMatrix":
-        self._compat(other)
-        return MPolyMatrix(
-            self.vars,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __neg__(self) -> "MPolyMatrix":
-        return MPolyMatrix(self.vars, [[-a for a in row] for row in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, MPolyMatrix):
-            self._compat(other)
-            out = []
-            for i in range(self.r):
-                row = []
-                for j in range(self.r):
-                    acc = MultiPoly.zero(self.vars)
-                    for k in range(self.r):
-                        acc = acc + self.entries[i][k] * other.entries[k][j]
-                    row.append(acc)
-                out.append(row)
-            return MPolyMatrix(self.vars, out)
-        if isinstance(other, MultiPoly):
-            return MPolyMatrix(self.vars, [[a * other for a in row] for row in self.entries])
-        c = GaussianRational.coerce(other)
-        return MPolyMatrix(self.vars, [[a * c for a in row] for row in self.entries])
-
-    def __rmul__(self, other):
-        # scalars commute with everything; matrix-matrix uses __mul__
-        return self * other
-
     def partial(self, index: int) -> "MPolyMatrix":
         """Entrywise classical partial derivative."""
-        return MPolyMatrix(self.vars, [[a.partial(index) for a in row] for row in self.entries])
-
-    def trace(self) -> MultiPoly:
-        acc = MultiPoly.zero(self.vars)
-        for i in range(self.r):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def commutes_with(self, other: "MPolyMatrix") -> bool:
-        return (self * other - other * self).is_zero()
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
-
-    def _compat(self, other: "MPolyMatrix"):
-        if self.vars != other.vars or self.r != other.r:
-            raise ValueError("matrix rank/variable mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, MPolyMatrix):
-            return NotImplemented
-        return self.vars == other.vars and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.vars, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(", ".join(str(a) for a in row) for row in self.entries)
-        return f"[{body}]"
+        return self._new([a.partial(index) for a in row] for row in self.rows)
 
 
 class FormTerm:
@@ -233,16 +169,16 @@ class FormalForm:
 
 def d(m: MPolyMatrix) -> FormalForm:
     """The built-in derivation: the single-term form I * dm * I."""
-    ident = MPolyMatrix.identity(m.vars, m.r)
-    return FormalForm(m.vars, m.r, 1, (FormTerm(ident, ((m, ident),)),))
+    ident = MPolyMatrix.identity(m.vars, m.nrows)
+    return FormalForm(m.vars, m.nrows, 1, (FormTerm(ident, ((m, ident),)),))
 
 
 def leibniz_expand(m: MPolyMatrix, mp: MPolyMatrix) -> FormalForm:
     """(dm) m' + m dm', the right-hand side of the Leibniz relation."""
-    ident = MPolyMatrix.identity(m.vars, m.r)
+    ident = MPolyMatrix.identity(m.vars, m.nrows)
     return FormalForm(
         m.vars,
-        m.r,
+        m.nrows,
         1,
         (
             FormTerm(ident, ((m, mp),)),
@@ -401,11 +337,11 @@ class MorphismToAffine:
             raise ValueError("empty morphism data")
         first = self.images[0]
         for m in self.images:
-            if m.vars != first.vars or m.r != first.r:
+            if m.vars != first.vars or m.nrows != first.nrows:
                 raise ValueError("image matrices must share variables and rank")
         for i in range(len(self.images)):
             for j in range(i + 1, len(self.images)):
-                if not self.images[i].commutes_with(self.images[j]):
+                if not commutator(self.images[i], self.images[j]).is_zero():
                     raise ValueError("non-commuting images do not define a morphism")
 
     @property
@@ -414,7 +350,7 @@ class MorphismToAffine:
 
     @property
     def r(self) -> int:
-        return self.images[0].r
+        return self.images[0].nrows
 
 
 def pullback(phi: MorphismToAffine, f: MultiPoly) -> MPolyMatrix:

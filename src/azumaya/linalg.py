@@ -1,21 +1,32 @@
-"""Exact dense linear algebra over Q(i).
+"""Exact dense linear algebra over Q(i) and its polynomial rings.
 
-Rank uses one-step Bareiss (fraction-free) elimination; kernels and solves
-use reduced row echelon form over the field.  The characteristic
-polynomial is the Bareiss determinant of x*I - m computed over the
-polynomial ring, so no rational-function entries ever appear.
+`Matrix` is the one dense matrix type.  Its entries lie in Q(i), in
+Q(i)[z] (the subclass `higgsing.PolyMatrix`) or in Q(i)[z_1..z_n] (the
+subclass `kahler.MPolyMatrix`); the subclasses only coerce their entries
+and add domain methods.  Rank and the characteristic polynomial share one
+one-step Bareiss (fraction-free) elimination, over Q(i) and over Q(i)[x],
+so no rational-function entries ever appear.  Kernels and solves use
+reduced row echelon form over the field.
 """
 
 from __future__ import annotations
 
-from .poly import UniPoly
+from operator import mul, truediv
+
+from .poly import MultiPoly, UniPoly
 from .scalars import GaussianRational, ONE, ZERO
 
 
 class Matrix:
-    """Immutable dense matrix with GaussianRational entries."""
+    """Immutable dense matrix over Q(i) or a polynomial ring on it.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    `vars` names the variables of the entry ring, () for Q(i).  Every
+    arithmetic result keeps the class and the variables of its left
+    operand.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "vars")
+    _SEP = " "  # entry separator of repr; polynomial entries hold spaces
 
     def __init__(self, rows):
         rows = tuple(tuple(GaussianRational.coerce(x) for x in r) for r in rows)
@@ -23,9 +34,20 @@ class Matrix:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
                 raise ValueError("ragged matrix")
+        self._fill(rows, ())
+
+    def _fill(self, rows, variables) -> "Matrix":
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
+        self.vars = variables
+        return self
+
+    def _new(self, rows) -> "Matrix":
+        """The trusted constructor of arithmetic results: rows already in
+        this matrix's entry ring, kept as they are, under its class and
+        variables."""
+        return object.__new__(type(self))._fill(tuple(map(tuple, rows)), self.vars)
 
     # -- constructors -----------------------------------------------------
 
@@ -60,8 +82,10 @@ class Matrix:
 
     # -- queries ------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
+    @property
+    def entries(self):
+        """The rows, under the name the polynomial matrices have always had."""
+        return self.rows
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -69,62 +93,52 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x.is_zero() for r in self.rows for x in r)
 
-    def column(self, j: int):
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def vec(self):
         """Row-major flattening."""
         return tuple(x for r in self.rows for x in r)
 
-    def trace(self) -> GaussianRational:
+    def trace(self):
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        acc = ZERO
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
+        return _sum(self.rows[i][i] for i in range(self.nrows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows))) if self.rows else self
+        return self._new(zip(*self.rows)) if self.rows else self
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return self._new(
+            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        return self._new(
+            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
+        return self._new([-a for a in r] for r in self.rows)
 
     def __mul__(self, other):
+        """Matrix product, or the product by a scalar of Q(i) or of the
+        entry ring."""
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(
                     f"dimension mismatch: {self.nrows}x{self.ncols} times "
                     f"{other.nrows}x{other.ncols}"
                 )
-            cols = other.transpose().rows
-            out = []
-            for r in self.rows:
-                out.append(
-                    [_dot(r, c) for c in cols]
-                )
-            return Matrix(out)
-        c = GaussianRational.coerce(other)
-        return Matrix([[a * c for a in r] for r in self.rows])
+            cols = tuple(zip(*other.rows))
+            return self._new([_dot(r, c) for c in cols] for r in self.rows)
+        if not isinstance(other, (UniPoly, MultiPoly)):
+            other = GaussianRational.coerce(other)
+        return self._new([a * other for a in r] for r in self.rows)
 
     def __rmul__(self, other):
+        # scalars commute with every entry; matrix-matrix uses __mul__
         return self * other
 
     def __pow__(self, k: int) -> "Matrix":
@@ -158,21 +172,27 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.vars == other.vars and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
+        body = "; ".join(self._SEP.join(str(x) for x in r) for r in self.rows)
         return f"[{body}]"
 
 
-def _dot(u, v) -> GaussianRational:
-    acc = ZERO
-    for a, b in zip(u, v):
-        acc = acc + a * b
+def _sum(terms):
+    """The sum of the terms in their own ring; ZERO when there are none."""
+    terms = iter(terms)
+    acc = next(terms, ZERO)
+    for t in terms:
+        acc = acc + t
     return acc
+
+
+def _dot(u, v):
+    return _sum(map(mul, u, v))
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -186,28 +206,60 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 # elimination
 
 
-def rank(m: Matrix) -> int:
-    """Rank by one-step Bareiss fraction-free elimination."""
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    prev = ONE
+def _bareiss(a, ncols: int, one, div):
+    """One-step Bareiss (fraction-free) elimination of the grid a, in place.
+
+    Column by column, the first nonzero entry p at or below the current
+    row is the pivot, and every entry below and right of it becomes
+    (a[i][j] * p - a[i][c] * a[r][j]) / prev, prev being the pivot before
+    (`one` at the start).  Over an integral domain each division is exact
+    (Cohen, A Course in Computational Algebraic Number Theory, section
+    2.2); `div` performs it.  Entries left of a pivot are not cleared, as
+    nothing reads them again.  Returns the rank.
+    """
+    nr = len(a)
+    prev = one
     r = 0
-    for c in range(nc):
+    for c in range(ncols):
         if r == nr:
             break
         piv = next((i for i in range(r, nr) if not a[i][c].is_zero()), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[c]
         for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                a[i][j] = (a[i][j] * p - a[i][c] * a[r][j]) / prev
-            a[i][c] = ZERO
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = div(row[j] * p - f * top[j], prev)
         prev = p
         r += 1
     return r
+
+
+def rank(m: Matrix) -> int:
+    """Rank by Bareiss elimination over Q(i)."""
+    return _bareiss([list(r) for r in m.rows], m.ncols, ONE, truediv)
+
+
+def power_ranks(n: Matrix, floor: int):
+    """Ranks of n, n^2, n^3, ... while they stay above floor.
+
+    The ranks of the powers fall until they settle; floor must be the rank
+    they settle at.  The first power of rank floor ends the list and is
+    not in it.
+    """
+    ranks = []
+    power, cur = n, rank(n)
+    while cur > floor:
+        if ranks and cur == ranks[-1]:
+            raise ArithmeticError(f"the ranks of the powers settle at {cur}, above {floor}")
+        ranks.append(cur)
+        power = power * n
+        cur = rank(power)
+    return ranks
 
 
 def rref(rows, ncols: int):
@@ -269,10 +321,12 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
 
 
 def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
-    """det(x*I - m), via Bareiss elimination over Q(i)[x].
+    """det(x*I - m), by Bareiss elimination over Q(i)[x].
 
-    All intermediate divisions are exact polynomial divisions, which the
-    Bareiss identity guarantees over an integral domain.
+    Every division is an exact polynomial division.  The k-th pivot is
+    the leading principal k x k minor of x*I - m, a monic polynomial of
+    degree k, so no row is ever swapped and the last pivot is the
+    determinant.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -287,37 +341,23 @@ def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
         ]
         for i in range(n)
     ]
-    prev = UniPoly.one(var)
-    sign = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if not a[i][c].is_zero()), None)
-        if piv is None:
-            return UniPoly.zero(var)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        p = a[c][c]
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * p - a[i][c] * a[c][j]).exact_div(prev)
-            a[i][c] = UniPoly.zero(var)
-        prev = p
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    _bareiss(a, n, UniPoly.one(var), UniPoly.exact_div)
+    return a[n - 1][n - 1]
 
 
 def _krylov_min_poly(m: Matrix, v, var: str) -> UniPoly:
-    """Monic minimal polynomial of m relative to the vector v."""
-    n = m.nrows
+    """Monic minimal polynomial of m relative to the vector v.
+
+    The Krylov vectors v, m v, m^2 v, ... are stacked as columns; at each
+    step one rref of the stack with the next vector appended tells whether
+    that vector depends on the ones before it and, if so, its coefficients.
+    """
     cols = [tuple(v)]
-    cur = tuple(v)
-    for k in range(1, n + 1):
-        cur = m.apply_vector(cur)
-        stack = Matrix.from_columns(cols)
-        if rank(Matrix.from_columns(cols + [cur])) == len(cols):
-            target = Matrix.from_columns([cur])
-            coeffs = solve_exact(stack, target).column(0)
-            return UniPoly(var, [-c for c in coeffs] + [ONE])
+    for k in range(1, m.nrows + 1):
+        cur = m.apply_vector(cols[-1])
+        ech, pivots = rref(zip(*cols, cur), k + 1)
+        if len(pivots) == k:
+            return UniPoly(var, [-ech[i][k] for i in range(k)] + [ONE])
         cols.append(cur)
     raise AssertionError("Krylov chain exceeded matrix size")  # pragma: no cover
 
@@ -331,8 +371,6 @@ def min_poly(m: Matrix, var: str = "z") -> UniPoly:
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.nrows
-    if n == 0:
-        return UniPoly.one(var)
     out = UniPoly.one(var)
     for i in range(n):
         e = tuple(ONE if j == i else ZERO for j in range(n))

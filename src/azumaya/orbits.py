@@ -11,7 +11,7 @@ sum_i max(lambda_i - j, 0).
 from __future__ import annotations
 
 from .azpoint import RepPoint, SupportLengthData
-from .linalg import Matrix, char_poly, rank
+from .linalg import Matrix, char_poly, power_ranks
 from .roots import split_roots
 from .scalars import GaussianRational
 
@@ -106,25 +106,13 @@ def jordan_data_of_matrix(m: Matrix) -> JordanData:
     r = m.nrows
     entries = []
     for ev, mult in roots:
-        shifted = m - Matrix.identity(r) * ev
-        prev = r
-        sizes = []
-        power = shifted
-        j = 1
-        recovered = 0
-        while recovered < mult:
-            cur = rank(power)
-            blocks_ge_j = prev - cur
-            sizes.append(blocks_ge_j)
-            recovered += blocks_ge_j
-            prev = cur
-            power = power * shifted
-            j += 1
+        ranks = [r] + power_ranks(m - Matrix.identity(r) * ev, r - mult) + [r - mult]
+        # sizes[j - 1] is the number of blocks of size >= j
+        sizes = [a - b for a, b in zip(ranks, ranks[1:])]
         parts = []
         for size in range(len(sizes), 0, -1):
             count = sizes[size - 1] - (sizes[size] if size < len(sizes) else 0)
             parts.extend([size] * count)
-        parts.sort(reverse=True)
         entries.append(((ev,), parts))
     return JordanData(entries)
 

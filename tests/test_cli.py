@@ -191,10 +191,24 @@ def test_literal_digit_limits():
             jsonio.parse_scalar(bad)
 
 
-def test_output_past_the_int_string_limit_is_a_typed_error(monkeypatch, capsys):
+def test_output_past_the_int_string_limit_is_printed(monkeypatch, capsys):
     # five 1000-digit eigenvalues give a 5000-digit determinant, past
-    # Python's 4300-digit int-to-string limit: one JSON error line, exit 1
+    # Python's 4300-digit int-to-string limit, which main lifts while it
+    # computes and prints and then restores
     big = [10**999 + k for k in range(5)]
     rows = [[big[i] if i == j else 0 for j in range(5)] for i in range(5)]
-    code, out = run_main(["hilbert-chow"], json.dumps(rows), monkeypatch, capsys)
-    assert code == 1 and out["error"] == "domain-error"
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(rows)))
+    assert main(["hilbert-chow", "--input", "-"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    text = capsys.readouterr().out
+    coeffs = [1]  # prod (x - b), lowest degree first
+    for b in big:
+        coeffs = [(coeffs[k - 1] if k else 0) - b * (coeffs[k] if k < len(coeffs) else 0)
+                  for k in range(len(coeffs) + 1)]
+    sys.set_int_max_str_digits(0)
+    try:
+        out = json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == {"char_poly": coeffs, "roots": [{"mult": 1, "root": str(b)} for b in big]}

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,13 +9,14 @@ from azumaya.linalg import (
     commutator,
     kernel_basis,
     min_poly,
+    power_ranks,
     rank,
     ring_det,
     solve_exact,
 )
 from azumaya.poly import MultiPoly, UniPoly
 from azumaya.scalars import gr
-from helpers import brute_min_poly, naive_rank, rand_matrix
+from helpers import SMALL_POOL, brute_min_poly, naive_rank, rand_invertible, rand_matrix, rand_scalar
 
 
 z = UniPoly.x("z")
@@ -142,3 +144,83 @@ def test_ring_det_matches_char_poly_determinant():
         # det(m) = (-1)^r * char_poly(m)(0)
         expected = char_poly(m, "z")(0) * gr(-1) ** r
         assert det == MultiPoly.constant(variables, expected)
+
+
+def test_power_ranks():
+    nilpotent = Matrix.jordan_block(0, 3)
+    assert power_ranks(nilpotent, 0) == [2, 1]
+    assert power_ranks(Matrix.zeros(2), 0) == []
+    # eigenvalue 0 of multiplicity 2 in a 3x3 matrix: the ranks settle at 1
+    assert power_ranks(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 5]]), 1) == [2]
+    with pytest.raises(ArithmeticError):
+        power_ranks(Matrix.identity(2), 0)
+
+
+# ---------------------------------------------------------------------------
+# sympy's exact Gaussian-rational matrices (the QQ_I domain) as an
+# independent oracle for rank, char_poly and min_poly
+
+
+def _oracle_matrices():
+    """Seeded matrices with r <= 6: generic ones, singular products B*C of
+    a smaller inner size, derogatory c*I + B*C with inner size <= r - 2,
+    and conjugates of Jordan forms with a repeated block."""
+    rng = random.Random(41)
+    pool = SMALL_POOL + [gr(3, -2), gr(Fraction(-2, 3), Fraction(1, 5))]
+
+    def rect(n, k):
+        return Matrix([[rand_scalar(rng, pool) for _ in range(k)] for _ in range(n)])
+
+    out = [Matrix.zeros(3), Matrix.identity(4) * gr(2, 1)]
+    for r in range(1, 7):
+        out.append(rand_matrix(rng, r, pool))
+        if r >= 2:
+            k = rng.randrange(1, r)
+            out.append(rect(r, k) * rect(k, r))
+        if r >= 3:
+            k = rng.randrange(1, r - 1)
+            out.append(Matrix.identity(r) * rand_scalar(rng, pool) + rect(r, k) * rect(k, r))
+            # one eigenvalue, Jordan blocks of sizes 2, 2, ..., (1)
+            ev = rand_scalar(rng, pool)
+            jordan = Matrix([[ev if j == i else gr(int(j == i + 1 and i % 2 == 0)) for j in range(r)]
+                             for i in range(r)])
+            p = rand_invertible(rng, r)
+            out.append(p * jordan * solve_exact(p, Matrix.identity(r)))
+    return out
+
+
+def test_rank_char_poly_min_poly_against_sympy():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(m):
+        return DomainMatrix([[QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+                              for x in row] for row in m.rows], (m.nrows, m.ncols), QQ_I)
+
+    def from_sympy(c):
+        return gr(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                  Fraction(int(c.y.numerator), int(c.y.denominator)))
+
+    def sympy_min_poly(s, n):
+        # the first linear relation among vec(I), vec(s), vec(s^2), ...
+        powers = [DomainMatrix.eye(n, QQ_I)]
+        while True:
+            stack = DomainMatrix([[p.to_list()[i][j] for p in powers] for i in range(n) for j in range(n)],
+                                 (n * n, len(powers)), QQ_I)
+            null = stack.nullspace().to_list()
+            if null:
+                v = null[0]
+                return [from_sympy(c / v[-1]) for c in v]
+            powers.append(powers[-1] * s)
+
+    singular = derogatory = 0
+    for m in _oracle_matrices():
+        s, n = to_sympy(m), m.nrows
+        assert rank(m) == s.rank()
+        assert list(char_poly(m, "z").coeffs) == [from_sympy(c) for c in reversed(s.charpoly())]
+        mp = min_poly(m)
+        assert list(mp.coeffs) == sympy_min_poly(s, n)
+        singular += rank(m) < n
+        derogatory += mp.degree < n
+    assert singular >= 6 and derogatory >= 10

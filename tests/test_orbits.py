@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from azumaya.azpoint import RepPoint, SupportLengthData
-from azumaya.linalg import Matrix, rank
+from azumaya.azpoint import RepPoint, SupportLengthData, pushforward
+from azumaya.linalg import Matrix, rank, solve_exact
 from azumaya.orbits import (
     JordanData,
     filtration_ranks,
@@ -43,10 +43,32 @@ def test_jordan_data_invariant_under_conjugation():
     for parts in partitions_of(4):
         m = jordan_nilpotent(parts) + Matrix.identity(4) * gr(2)
         g = rand_invertible(rng, 4)
-        from azumaya.linalg import solve_exact
-
         conj = g * m * solve_exact(g, Matrix.identity(4))
         assert jordan_data_of_matrix(conj) == jordan_data_of_matrix(m)
+
+
+def test_pushforward_filtration_matches_jordan_data():
+    # pushforward ranks the powers of the local action on each generalized
+    # eigenspace, jordan_data the powers of m - ev on the whole space; both
+    # go through linalg.power_ranks and must give the same filtration
+    rng = random.Random(11)
+    eigen = [gr(0), gr(1), gr(-1, 2), gr(0, 1)]
+    for r in range(1, 7):
+        for _ in range(4):
+            blocks = []
+            while sum(blocks) < r:
+                blocks.append(rng.randint(1, r - sum(blocks)))
+            diag, sup = [], []
+            for size in blocks:
+                ev = rng.choice(eigen)
+                diag += [ev] * size
+                sup += [1] * (size - 1) + [0]
+            m = Matrix([[diag[i] if j == i else gr(sup[i] if j == i + 1 else 0) for j in range(r)]
+                        for i in range(r)])
+            g = rand_invertible(rng, r)
+            t = RepPoint(("z",), (g * m * solve_exact(g, Matrix.identity(r)),))
+            pf = tuple((pt, ranks) for pt, _, ranks in pushforward(t).entries)
+            assert pf == filtration_ranks(jordan_data(t))
 
 
 def test_precede_examples():
