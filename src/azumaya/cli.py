@@ -10,6 +10,7 @@ separators, lowest-terms scalars.  Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -69,10 +70,12 @@ def run_image(payload, options=None):
         p = image_ideal_univar(t)
         return {"var": t.vars[0], "min_poly": jsonio.unipoly_json(p)}
     bound = options.get("degree_bound")
+    if bound is not None:
+        bound = jsonio.parse_int(bound, "degree_bound")
     basis = vanishing_ideal(t, bound)
     return {
         "vars": list(t.vars),
-        "degree_bound": t.r if bound is None else int(bound),
+        "degree_bound": t.r if bound is None else bound,
         "basis": [jsonio.terms_json(f) for f in basis],
     }
 
@@ -99,7 +102,7 @@ def run_conjugate(payload, options=None):
     options = options or {}
     t1 = jsonio.parse_rep_point(payload["t1"])
     t2 = jsonio.parse_rep_point(payload["t2"])
-    status = conjugacy(t1, t2, seed=int(options.get("seed", 0)))
+    status = conjugacy(t1, t2, seed=jsonio.parse_int(options.get("seed", 0), "seed"))
     return {"status": status, "conjugate": status == "conjugate"}
 
 
@@ -173,8 +176,8 @@ def run_spectral_curve(payload, options=None):
 
 
 def run_weyl_check(payload, options=None):
-    cap = int(payload.get("N", payload.get("cap", 16)))
-    r = int(payload.get("r", 1))
+    cap = jsonio.parse_int(payload.get("N", payload.get("cap", 16)), "N")
+    r = jsonio.parse_int(payload.get("r", 1), "r")
     w = WeylTrunc(cap, r)
     return {"cap": cap, "rank": r, "checked_degrees": cap - 2, "ok": weyl_commutator_check(w)}
 
@@ -403,9 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: building it costs more than a
+    small request, and it is not built at import, which would slow cold start."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     command = (args.cmd,) if getattr(args, "subcmd", None) is None else (args.cmd, args.subcmd)
     try:
         payload = _read_payload(args)

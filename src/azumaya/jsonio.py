@@ -7,7 +7,9 @@ Input accepts integers, the string forms, and {"re": "a/b", "im": "c/d"}
 objects interchangeably wherever a scalar is expected.  A scalar literal
 may have at most MAX_LITERAL_DIGITS digits in its numerator and in its
 denominator, and a decimal exponent of at most MAX_LITERAL_DIGITS in
-absolute value; longer literals are refused before any integer is built.
+absolute value; an integer field (exponents, ranks, lengths, torus
+classes, ...) at most MAX_LITERAL_DIGITS digits.  Longer values are refused
+before any integer is built.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ def parse_scalar(obj) -> GaussianRational:
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad scalar {obj!r}: {exc}") from exc
     raise InputError(f"cannot read a scalar from {obj!r}")
+
+
+def parse_int(value, field: str) -> int:
+    """int(value) for an integer field, refusing more than MAX_LITERAL_DIGITS
+    digits first: int() of a long digit string takes quadratic time."""
+    if isinstance(value, str):
+        too_long = len(value.strip().lstrip("+-").replace("_", "")) > MAX_LITERAL_DIGITS
+    else:
+        too_long = isinstance(value, int) and abs(value) >= _INT_LIMIT
+    if too_long:
+        raise InputError(f"integer field {field!r} exceeds the limit of {MAX_LITERAL_DIGITS} digits")
+    return int(value)
 
 
 def _fraction(text: str) -> Fraction:
@@ -151,7 +165,7 @@ def parse_terms(obj, variables) -> MultiPoly:
     for t in obj:
         if not isinstance(t, dict) or "exps" not in t or "coef" not in t:
             raise InputError("each term needs 'exps' and 'coef'")
-        exps = tuple(int(e) for e in t["exps"])
+        exps = tuple(parse_int(e, "exps") for e in t["exps"])
         if len(exps) != len(variables):
             raise InputError("exponent arity does not match the variables")
         c = parse_scalar(t["coef"])
@@ -187,7 +201,7 @@ def parse_rep_point(obj) -> RepPoint:
         t = RepPoint(variables, mats)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if "r" in obj and int(obj["r"]) != t.r:
+    if "r" in obj and parse_int(obj["r"], "r") != t.r:
         raise InputError("declared rank does not match the matrices")
     return t
 
@@ -222,7 +236,7 @@ def parse_support(obj) -> SupportLengthData:
         raise InputError("support-length data is a list of {point, length}")
     entries = []
     for e in obj:
-        entries.append((tuple(parse_scalar(x) for x in e["point"]), int(e["length"])))
+        entries.append((tuple(parse_scalar(x) for x in e["point"]), parse_int(e["length"], "length")))
     return SupportLengthData(entries)
 
 
@@ -252,7 +266,7 @@ def parse_jordan(obj) -> JordanData:
     for e in obj:
         try:
             pt = tuple(parse_scalar(x) for x in e["point"])
-            parts = tuple(int(x) for x in e["partition"])
+            parts = tuple(parse_int(x, "partition") for x in e["partition"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad Jordan entry {e!r}") from exc
         entries.append((pt, parts))
@@ -282,14 +296,14 @@ def parse_morphism(obj) -> AzCircleMorphism:
         cls = c.get("class")
         if not isinstance(cls, list) or len(cls) != 2:
             raise InputError("component class must be [p, q]")
-        wrap = int(c.get("wrap", 1))
-        full = HomologyClass(int(cls[0]) * wrap, int(cls[1]) * wrap)
+        wrap = parse_int(c.get("wrap", 1), "wrap")
+        full = HomologyClass(parse_int(cls[0], "class") * wrap, parse_int(cls[1], "class") * wrap)
         comps.append(
             Component(
-                int(c.get("d", 1)),
+                parse_int(c.get("d", 1), "d"),
                 full,
                 parse_scalar(c.get("offset", 0)),
-                int(c.get("fiber_rank", 1)),
+                parse_int(c.get("fiber_rank", 1), "fiber_rank"),
             )
         )
     profile = None
@@ -330,7 +344,7 @@ def parse_surrogate(obj) -> SurrogateClass:
         obj = obj.get("target", obj.get("surrogate"))
     if not isinstance(obj, list) or len(obj) != 3:
         raise InputError("a surrogate class is [r, p, q]")
-    return SurrogateClass(int(obj[0]), int(obj[1]), int(obj[2]))
+    return SurrogateClass(*(parse_int(x, "surrogate") for x in obj))
 
 
 def cycle_json(cyc: WeightedCycle):
@@ -415,9 +429,9 @@ def parse_formal_form(obj) -> FormalForm:
     if not isinstance(obj, dict) or "vars" not in obj or "r" not in obj:
         raise InputError("a formal form is {vars, r, terms}")
     variables = tuple(str(v) for v in obj["vars"])
-    r = int(obj["r"])
+    r = parse_int(obj["r"], "r")
     terms = []
-    degree = int(obj.get("degree", 1))
+    degree = parse_int(obj.get("degree", 1), "degree")
     for t in obj.get("terms", []):
         pre = parse_mpoly_matrix(t["pre"], variables) if "pre" in t else MPolyMatrix.identity(variables, r)
         factors = []

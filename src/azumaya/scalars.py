@@ -1,102 +1,118 @@
-"""Exact scalars: rationals and Gaussian rationals.
+"""Exact scalars: rationals and Gaussian rationals, over Q(i) with no floating point.
 
-Everything in this package computes over Q(i).  A scalar is a
-:class:`GaussianRational`, a pair of ``fractions.Fraction`` values held in
-lowest terms by construction.  There is no floating point anywhere, so all
-identities downstream are tested with ``==`` and no tolerances.
-
-Values are treated as immutable; all operators return new objects.
+A :class:`GaussianRational` is three Python ints ``(a, b, d)`` for ``(a + b*i) / d``,
+one common denominator as in FLINT's ``fmpq``, kept canonical (``d > 0``,
+``gcd(a, b, d) == 1``) by at most one ``math.gcd`` per operation, so identities are
+tested with ``==``.  ``Fraction`` is met only at the edges: the constructor reads it,
+and ``.re``, ``.im``, ``norm()`` and ``sort_key()`` return it.  Values are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-# The plain rational type.  ``Fraction`` already maintains the canonical
-# form (gcd(|num|, den) == 1, den > 0) that callers rely on.
-Rational = Fraction
+Rational = Fraction  # the plain rational type, canonical: gcd(|num|, den) == 1, den > 0
+_new = object.__new__
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+def _make(a: int, b: int, d: int) -> "GaussianRational":
+    x = _new(GaussianRational)  # trusted: (a, b, d) is already canonical
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> "GaussianRational":
+    g = gcd(d, a, b)  # (a + b*i) / d for d > 0, made canonical
+    return _make(a, b, d) if g == 1 else _make(a // g, b // g, d // g)
+
+
+def _sum(a, b, d, c, e, f) -> "GaussianRational":  # an operand with d == 1 keeps it canonical
+    if f == 1:
+        return _make(a + c * d, b + e * d, d)
+    if d == 1:
+        return _make(a * f + c, b * f + e, f)
+    if d == f:
+        return _reduced(a + c, b + e, d)
+    return _reduced(a * f + c * d, b * f + e * d, d * f)
 
 
 class GaussianRational:
-    """An element ``re + im*i`` of Q(i)."""
+    """An element ``re + im*i`` of Q(i), held as ``(a + b*i) / d``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        if not all(isinstance(x, (int, str, Fraction)) for x in (re, im)):
+            raise TypeError(f"cannot interpret {(re, im)!r} as exact rationals")
+        re, im = (Fraction(x) if isinstance(x, str) else x for x in (re, im))
+        q, s = re.denominator, im.denominator
+        g = gcd(q, s)  # over lcm(q, s) each part stays coprime to the denominator
+        self._a, self._b, self._d = re.numerator * (s // g), im.numerator * (q // g), q // g * s
 
-    # -- coercion -------------------------------------------------------
+    re = property(lambda self: Fraction(self._a, self._d))
+    im = property(lambda self: Fraction(self._b, self._d))
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+            return _make(x.numerator, 0, x.denominator)
         raise TypeError(f"cannot interpret {x!r} as a Gaussian rational")
 
-    # -- predicates -----------------------------------------------------
-
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def is_integer(self) -> bool:
-        return not self.im and self.re.denominator == 1
+        return not self._b and self._d == 1
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    # -- arithmetic -----------------------------------------------------
+        return bool(self._a or self._b)
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
+        if not e:  # a real operand skips the cross terms
+            re, im = a * c, b * c
+        elif not b:
+            re, im = a * c, a * e
+        else:
+            re, im = a * c - b * e, a * e + b * c
+        return _make(re, im, 1) if d == 1 and f == 1 else _reduced(re, im, d * f)
 
     def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        n = other.norm()
-        if not n:
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
+        if e:  # times the conjugate over the norm
+            return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+        if not c:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _reduced(a * f, b * f, d * c) if c > 0 else _reduced(-a * f, -b * f, -d * c)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
@@ -104,56 +120,40 @@ class GaussianRational:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        if k < 0:
-            return (ONE / self) ** (-k)
-        out = ONE
-        base = self
+        out, base, k = ONE, (ONE / self if k < 0 else self), abs(k)
         while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+            out, base, k = out * base if k & 1 else out, base * base, k >> 1
         return out
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
-    def norm(self) -> Fraction:
-        """re^2 + im^2, the field norm down to Q."""
-        return self.re * self.re + self.im * self.im
+    def norm(self) -> Fraction:  # re^2 + im^2, the field norm down to Q
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "GaussianRational":
         return ONE / self
 
-    # -- ordering key (no field order exists; used only for canonical
-    #    serialization and stable sorting) ------------------------------
-
-    def sort_key(self):
+    def sort_key(self):  # no field order exists: canonical output and stable sorts only
         return (self.re, self.im)
 
-    # -- equality / display ---------------------------------------------
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
+        if not isinstance(other, (int, Fraction, GaussianRational)):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        other = GaussianRational.coerce(other)
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
-    def __hash__(self):
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+    def __hash__(self):  # equal to hash(Fraction) for real values
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
-    def __str__(self) -> str:
-        # Canonical compact form: "a/b" when real, "a/b+c/di" otherwise.
-        if not self.im:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+    def __str__(self) -> str:  # canonical compact form: "a/b" when real, "a/b+c/di" otherwise
+        im = self.im
+        return f"{self.re}{'+' if im > 0 else '-'}{abs(im)}i" if im else str(self.re)
 
     def __repr__(self) -> str:
-        return f"gr({self.re!r}, {self.im!r})" if self.im else f"gr({self.re!r})"
+        return f"gr({self.re!r}, {self.im!r})" if self._b else f"gr({self.re!r})"
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def gr(re=0, im=0) -> GaussianRational:

@@ -1,9 +1,11 @@
-"""What the benchmark in bench/ needs of the matrix classes.
+"""What the benchmark in bench/ needs of the matrix and scalar classes.
 
 bench/tracer.py times each matrix class's product through the `__mul__`
-in that class's own namespace, and bench/run.py's `digest` reads a value
-through `type(x).__slots__`. The check runs in a fresh interpreter, so the
-tracer's patching of the library stays out of the other tests.
+in that class's own namespace, and counts Q(i) operations through the
+`GaussianRational` operators in its class dict. bench/run.py's `digest`
+reads a value through `type(x).__slots__`. The check runs in a fresh
+interpreter, so the tracer's patching of the library stays out of the
+other tests.
 """
 
 import json
@@ -15,6 +17,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = """
 import json
+from fractions import Fraction
 import azumaya as az
 from run import digest
 from tracer import Tracer
@@ -29,8 +32,18 @@ az.Matrix([[1, 2], [3, 4]]) * az.Matrix([[0, 1], [1, 0]])
 p1 * p2
 az.MPolyMatrix(xy, [[az.MultiPoly.variable(xy, "x"), 1], [0, 1]]) * az.MPolyMatrix.identity(xy, 2)
 names = ("linalg.Matrix.mul", "higgsing.PolyMatrix.mul", "kahler.MPolyMatrix.mul")
+scalar_keys = ("scalars.mul", "scalars.add", "scalars.div")
+
+def scalar_counts(fn):
+    before = [tracer.counts[k] for k in scalar_keys]
+    fn()
+    return [tracer.counts[k] - b for k, b in zip(scalar_keys, before)]
+
+x, y = az.gr(1, 2), az.gr(Fraction(1, 3), -1)
 print(json.dumps({
     "calls": {name: tracer.calls[name] for name in names},
+    "scalar_counts": [scalar_counts(lambda: x * y), scalar_counts(lambda: x + y), scalar_counts(lambda: x / y)],
+    "scalar_digest": digest(az.gr(Fraction(1, 2))) != digest(az.gr(Fraction(1, 3))),
     "digest_tells_apart": digest(p1) != digest(p2),
     "digest_stable": digest(p1) == digest(az.PolyMatrix([[z, 1], [0, 1]])),
 }))
@@ -46,3 +59,5 @@ def test_tracer_and_digest_see_each_matrix_class():
     out = json.loads(proc.stdout)
     assert out["calls"] == {"linalg.Matrix.mul": 1, "higgsing.PolyMatrix.mul": 1, "kahler.MPolyMatrix.mul": 1}
     assert out["digest_tells_apart"] and out["digest_stable"]
+    assert out["scalar_counts"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert out["scalar_digest"]

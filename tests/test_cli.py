@@ -2,10 +2,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from azumaya import jsonio
+from azumaya import cli, jsonio
 from azumaya.cli import canonical_json, dispatch, main
 from azumaya.jsonio import InputError
 from azumaya.scalars import gr
@@ -212,3 +213,91 @@ def test_output_past_the_int_string_limit_is_printed(monkeypatch, capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert out == {"char_poly": coeffs, "roots": [{"mult": 1, "root": str(b)} for b in big]}
+
+
+def test_main_keeps_no_state_between_calls(monkeypatch, capsys):
+    # main builds its parser once per process; the same calls in either
+    # order, with usage errors between them, answer as with a new parser
+    point = json.dumps({"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]})
+    pair = json.dumps({"t1": {"vars": ["z"], "matrices": [[[1, 1], [0, 1]]]},
+                       "t2": {"vars": ["z"], "matrices": [[[1, 0], [0, 1]]]}})
+    calls = [
+        (["image", "--degree-bound", "1"], point),
+        (["image"], point),
+        (["weyl-check", "--N", "5", "--r", "2"], None),
+        (["weyl-check"], None),
+        (["conjugate", "--seed", "3"], pair),
+        (["conjugate"], pair),
+        (["hilbert-chow"], "[[1,2],[3,4]]"),
+        (["hilbert-chow"], "[[1,2]]"),
+        (["scenario", "run-all", "--seed", "4"], None),
+        (["weyl-check", "--N", "x"], None),
+        (["no-such-command"], None),
+    ]
+
+    def answer(args, text):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text or ""))
+        try:
+            code = main(args + (["--input", "-"] if text is not None else []))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cached = [answer(*c) for c in calls] + [answer(*c) for c in reversed(calls)]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [answer(*c) for c in calls] + [answer(*c) for c in reversed(calls)]
+    assert cached == fresh
+    assert [code for code, _, _ in cached[:len(calls)]] == [0] * 7 + [2, 0, ("exit", 2), ("exit", 2)]
+    assert json.loads(cached[0][1])["degree_bound"] == 1 and json.loads(cached[1][1])["degree_bound"] == 2
+    assert json.loads(cached[2][1])["rank"] == 2 and json.loads(cached[3][1])["rank"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, payload, options, field",
+    [
+        (("torus", "class"), {"tau": "0+1i", "components": [{"class": [1, 0], "wrap": "1" + "0" * 5000}]},
+         {}, "wrap"),
+        (("torus", "class"), {"tau": "0+1i", "components": [{"class": ["9" * 1001, 0]}]}, {}, "class"),
+        (("torus", "class"), {"tau": "0+1i", "components": [{"class": [1, 0], "d": 10**1000}]}, {}, "d"),
+        (("torus", "class"), {"tau": "0+1i", "components": [{"class": [1, 0], "fiber_rank": "-" + "1" * 1001}]},
+         {}, "fiber_rank"),
+        (("torus", "slag"), {"tau": "0+1i", "target": [1, "2" * 1001, 0]}, {}, "surrogate"),
+        (("orbit-compare",), {"j1": [{"point": [0], "partition": ["1" * 1001]}], "j2": []}, {}, "partition"),
+        (("orbit-extremes",), {"support": [{"point": [0], "length": "3" * 1001}]}, {}, "length"),
+        (("rep-check",), {"vars": ["z"], "matrices": [[[1]]], "r": "1" * 1001}, {}, "r"),
+        (("kahler", "trace"), {"vars": ["x"], "r": 1, "degree": "1" * 1001, "terms": []}, {}, "degree"),
+        (("kahler", "trace"), {"vars": ["x"], "r": "1" * 1001, "terms": []}, {}, "r"),
+        (("spectral-curve",), {"phi": {"entries": [[[1]]]}, "x": 0}, {}, None),
+        (("kahler", "pullback"), {"phi": {"target_vars": ["u"], "source_vars": ["x"], "images": [[[[]]]]},
+                                  "form": {"function": [{"exps": ["1" * 1001], "coef": 1}]}}, {}, "exps"),
+        (("image",), {"vars": ["z", "w"], "matrices": [[[1]], [[1]]]}, {"degree_bound": "1" * 1001},
+         "degree_bound"),
+        (("conjugate",), {"t1": {"vars": ["z"], "matrices": [[[1]]]}, "t2": {"vars": ["z"], "matrices": [[[1]]]}},
+         {"seed": "1" * 1001}, "seed"),
+        (("weyl-check",), {"N": "1" * 1001}, {}, "N"),
+        (("weyl-check",), {"N": 4, "r": 10**1000}, {}, "r"),
+    ],
+)
+def test_integer_fields_are_bounded(command, payload, options, field):
+    if field is None:  # a control: nothing here is an integer field
+        dispatch(command, payload, options)
+        return
+    with pytest.raises(InputError) as exc:
+        dispatch(command, payload, options)
+    assert str(exc.value) == f"integer field {field!r} exceeds the limit of {jsonio.MAX_LITERAL_DIGITS} digits"
+
+
+def test_integer_field_limit(monkeypatch, capsys):
+    limit = jsonio.MAX_LITERAL_DIGITS
+    assert jsonio.parse_int("9" * limit, "f") == int("9" * limit)
+    assert jsonio.parse_int(" -1_000 ", "f") == -1000 and jsonio.parse_int(1 - 10**limit, "f") == 1 - 10**limit
+    # a 400k-digit field is refused without being converted (int() on it
+    # takes over a second)
+    payload = {"tau": "0+1i", "components": [{"class": [1, 0], "wrap": "7" * 400_000}]}
+    start = time.perf_counter()
+    code, out = run_main(["torus", "class"], json.dumps(payload), monkeypatch, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == {"error": "malformed-input",
+                                 "detail": f"integer field 'wrap' exceeds the limit of {limit} digits"}
