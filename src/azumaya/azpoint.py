@@ -21,9 +21,11 @@ from .linalg import (
     power_ranks,
     rank,
     ring_det,
+    rref,
     solve_exact,
 )
 from .poly import MultiPoly, UniPoly, monomials_up_to
+from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO
 
 
@@ -194,8 +196,6 @@ def vanishing_ideal(t: RepPoint, degree_bound: int | None = None):
         cols.append(m.vec())
     ev = Matrix.from_columns(cols)
     coeff_rows = [list(v) for v in kernel_basis(ev)]
-    from .linalg import rref
-
     reduced, _ = rref(coeff_rows, len(monos))
     out = []
     for row in reduced:
@@ -255,8 +255,6 @@ def _joint_decomposition(t: RepPoint):
 
 
 def split_roots_of(m: Matrix):
-    from .roots import split_roots
-
     return split_roots(char_poly(m, var="z"))
 
 
@@ -289,8 +287,6 @@ def hilbert_chow(m: Matrix):
     """(characteristic polynomial, root multiset or None when non-split)."""
     cp = char_poly(m, var="lambda")
     try:
-        from .roots import split_roots
-
         roots = split_roots(cp)
     except SpectrumNotSplit:
         roots = None

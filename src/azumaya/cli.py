@@ -1,10 +1,11 @@
 """Batch front end: JSON in, canonical JSON out.
 
 Every subcommand reads a JSON payload (``--input FILE`` or ``-`` for
-stdin; some commands also take inline JSON flags), dispatches to the
-library, and prints one canonical JSON object: sorted keys, compact
-separators, lowest-terms scalars.  Exit codes: 0 success, 1 domain error
-(for example a non-split spectrum), 2 malformed input.
+stdin), dispatches to the library, and prints one canonical JSON object:
+sorted keys, compact separators, lowest-terms scalars.  A command's flags
+are payload fields: ``--degree-bound 3`` sets ``"degree_bound": 3``.
+Exit codes: 0 success, 1 domain error (for example a non-split spectrum),
+2 malformed input.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import functools
 import json
 import sys
+from math import comb
+from typing import Callable, NamedTuple, Sequence
 
 from . import jsonio
 from .azpoint import (
@@ -36,6 +39,7 @@ from .higgsing import (
 )
 from .jsonio import InputError
 from .kahler import classical_d, pullback_form, trace_form
+from .linalg import char_poly
 from .orbits import maximal_orbit, minimal_orbit, precede
 from .torus import (
     amalgamate,
@@ -55,7 +59,7 @@ def canonical_json(payload) -> str:
 # handlers: payload dict -> output dict
 
 
-def run_rep_check(payload, options=None):
+def run_rep_check(payload):
     t = jsonio.parse_rep_point(payload["point"] if "point" in payload else payload)
     pres = None
     if isinstance(payload, dict) and payload.get("presentation") is not None:
@@ -63,29 +67,30 @@ def run_rep_check(payload, options=None):
     return {"rep_check": rep_check(t, pres)}
 
 
-def run_image(payload, options=None):
-    options = options or {}
+def run_image(payload):
     t = jsonio.parse_rep_point(payload["point"] if "point" in payload else payload)
     if t.arity == 1:
         p = image_ideal_univar(t)
         return {"var": t.vars[0], "min_poly": jsonio.unipoly_json(p)}
-    bound = options.get("degree_bound")
-    if bound is not None:
-        bound = jsonio.parse_int(bound, "degree_bound")
-    basis = vanishing_ideal(t, bound)
+    bound = payload.get("degree_bound")
+    d = t.r if bound is None else jsonio.parse_int(bound, "degree_bound")
+    if d >= 0 and (d > jsonio.MAX_MONOMIALS or comb(t.arity + d, d) > jsonio.MAX_MONOMIALS):
+        raise InputError(f"image: the monomials of degree <= {d} in {t.arity} variables "
+                         f"exceed the limit of {jsonio.MAX_MONOMIALS}")
+    basis = vanishing_ideal(t, d)
     return {
         "vars": list(t.vars),
-        "degree_bound": t.r if bound is None else bound,
+        "degree_bound": d,
         "basis": [jsonio.terms_json(f) for f in basis],
     }
 
 
-def run_pushforward(payload, options=None):
+def run_pushforward(payload):
     t = jsonio.parse_rep_point(payload["point"] if "point" in payload else payload)
     return jsonio.pushforward_json(pushforward(t))
 
 
-def run_hilbert_chow(payload, options=None):
+def run_hilbert_chow(payload):
     m = jsonio.parse_matrix(payload)
     cp, roots = hilbert_chow(m)
     out = {"char_poly": jsonio.unipoly_json(cp)}
@@ -98,15 +103,14 @@ def run_hilbert_chow(payload, options=None):
     return out
 
 
-def run_conjugate(payload, options=None):
-    options = options or {}
+def run_conjugate(payload):
     t1 = jsonio.parse_rep_point(payload["t1"])
     t2 = jsonio.parse_rep_point(payload["t2"])
-    status = conjugacy(t1, t2, seed=jsonio.parse_int(options.get("seed", 0), "seed"))
+    status = conjugacy(t1, t2, seed=jsonio.parse_int(payload.get("seed", 0), "seed"))
     return {"status": status, "conjugate": status == "conjugate"}
 
 
-def run_orbit_compare(payload, options=None):
+def run_orbit_compare(payload):
     j1 = jsonio.parse_jordan(payload["j1"])
     j2 = jsonio.parse_jordan(payload["j2"])
     return {
@@ -115,7 +119,7 @@ def run_orbit_compare(payload, options=None):
     }
 
 
-def run_orbit_extremes(payload, options=None):
+def run_orbit_extremes(payload):
     s = jsonio.parse_support(payload)
     return {
         "maximal": jsonio.jordan_json(maximal_orbit(s)),
@@ -123,22 +127,15 @@ def run_orbit_extremes(payload, options=None):
     }
 
 
-def run_higgsing_solve(payload, options=None):
+def run_higgsing_solve(payload):
     a = jsonio.parse_poly_matrix(payload["A"])
-    lam = jsonio.parse_scalar(payload["lambda"])
-    problem = HiggsProblem(a, lam)
+    problem = jsonio.build(HiggsProblem, a, jsonio.parse_scalar(payload["lambda"]))
     out = {"solvable": solvability_check(problem)}
     bhat = payload.get("bhat")
     if bhat is None:
         return out
-    if not out["solvable"]:
-        from .errors import SolvabilityViolated
-
-        raise SolvabilityViolated("(a1-a4)^2 + 4 a2 a3 != 0")
     sol = HiggsSolution.combine(problem, [jsonio.parse_scalar(x) for x in bhat])
     residual = ode_residual(problem, sol.b)
-    from .linalg import char_poly
-
     bi = sol.b.char_poly_bivariate("v")
     b0cp = char_poly(sol.b0, "v")
     report = classify_deformation(problem, sol)
@@ -169,26 +166,30 @@ def run_higgsing_solve(payload, options=None):
     return out
 
 
-def run_spectral_curve(payload, options=None):
+def run_spectral_curve(payload):
     phi = jsonio.parse_poly_matrix(payload["phi"] if "phi" in payload else payload)
     curve = spectral_curve(phi)
     return {"vars": list(curve.vars), "curve": jsonio.terms_json(curve)}
 
 
-def run_weyl_check(payload, options=None):
+def run_weyl_check(payload):
     cap = jsonio.parse_int(payload.get("N", payload.get("cap", 16)), "N")
     r = jsonio.parse_int(payload.get("r", 1), "r")
-    w = WeylTrunc(cap, r)
+    w = jsonio.build(WeylTrunc, cap, r)
+    if cap < 2:
+        raise InputError(f"weyl-check: N = {cap} is below the limit of 2")
+    if r * cap * (r + cap) > jsonio.MAX_WEYL_TERMS:
+        raise InputError(f"weyl-check: r*N*(r+N) exceeds the limit of {jsonio.MAX_WEYL_TERMS}")
     return {"cap": cap, "rank": r, "checked_degrees": cap - 2, "ok": weyl_commutator_check(w)}
 
 
-def run_torus_class(payload, options=None):
+def run_torus_class(payload):
     phi = jsonio.parse_morphism(payload)
     sc, _ = total_class(phi)
     return {"surrogate": jsonio.surrogate_json(sc)}
 
 
-def run_torus_amalgamate(payload, options=None):
+def run_torus_amalgamate(payload):
     phi1 = jsonio.parse_morphism(payload["phi1"])
     phi2 = jsonio.parse_morphism(payload["phi2"])
     phi = amalgamate(phi1, phi2)
@@ -199,7 +200,7 @@ def run_torus_amalgamate(payload, options=None):
     }
 
 
-def run_torus_slag(payload, options=None):
+def run_torus_slag(payload):
     target = jsonio.parse_surrogate(payload["target"])
     geom = jsonio.parse_morphism({"tau": payload["tau"], "components": []}).geometry
     phi = slag_representative(target, geom)
@@ -211,7 +212,7 @@ def run_torus_slag(payload, options=None):
     }
 
 
-def run_torus_cancel(payload, options=None):
+def run_torus_cancel(payload):
     phi1 = jsonio.parse_morphism(payload["phi1"])
     phi2 = jsonio.parse_morphism(payload["phi2"])
     merged = amalgamate(phi1, phi2)
@@ -226,17 +227,17 @@ def run_torus_cancel(payload, options=None):
     }
 
 
-def run_torus_validate_profile(payload, options=None):
+def run_torus_validate_profile(payload):
     phi = jsonio.parse_morphism(payload)
     return {"valid": validate_profile(phi)}
 
 
-def run_kahler_trace(payload, options=None):
+def run_kahler_trace(payload):
     w = jsonio.parse_formal_form(payload["form"] if "form" in payload else payload)
     return jsonio.classical_form_json(trace_form(w))
 
 
-def run_kahler_pullback(payload, options=None):
+def run_kahler_pullback(payload):
     phi = jsonio.parse_affine_morphism(payload["phi"])
     form = payload.get("form")
     if form is None:
@@ -253,13 +254,13 @@ def run_kahler_pullback(payload, options=None):
     }
 
 
-def run_scenarios(payload, options=None):
+def run_scenarios(payload):
     from .scenarios import SCENARIOS
 
     results = []
     all_pass = True
     for sc in SCENARIOS:
-        out = dispatch(sc.command, sc.payload, sc.options)
+        out = dispatch(sc.command, sc.payload)
         got = canonical_json(out)
         want = canonical_json(sc.expected)
         entry = {"name": sc.name, "status": "pass" if got == want else "fail"}
@@ -271,40 +272,77 @@ def run_scenarios(payload, options=None):
     return {"all_pass": all_pass, "results": results}
 
 
-HANDLERS = {
-    ("rep-check",): run_rep_check,
-    ("image",): run_image,
-    ("pushforward",): run_pushforward,
-    ("hilbert-chow",): run_hilbert_chow,
-    ("conjugate",): run_conjugate,
-    ("orbit-compare",): run_orbit_compare,
-    ("orbit-extremes",): run_orbit_extremes,
-    ("higgsing", "solve"): run_higgsing_solve,
-    ("spectral-curve",): run_spectral_curve,
-    ("weyl-check",): run_weyl_check,
-    ("torus", "class"): run_torus_class,
-    ("torus", "amalgamate"): run_torus_amalgamate,
-    ("torus", "slag"): run_torus_slag,
-    ("torus", "cancel"): run_torus_cancel,
-    ("torus", "validate-profile"): run_torus_validate_profile,
-    ("kahler", "trace"): run_kahler_trace,
-    ("kahler", "pullback"): run_kahler_pullback,
-    ("scenario", "run-all"): run_scenarios,
+def json_or_text(text: str):
+    """The value of a JSON-valued flag: JSON when the text parses, else the text."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+class Flag(NamedTuple):
+    """``--name VALUE`` sets the payload field ``name``, "-" read as "_"."""
+    name: str
+    type: Callable = str
+    help: str | None = None
+    metavar: str | None = None
+
+
+class Command(NamedTuple):
+    handler: Callable  # payload -> output dict
+    help: str | None = None  # None for a subcommand of a group in GROUPS
+    flags: Sequence[Flag] = ()
+    input: bool = True  # takes --input FILE
+
+
+GROUPS = {
+    "higgsing": "deformation ODE tools",
+    "torus": "A-branes on the flat torus",
+    "kahler": "formal differential forms",
+    "scenario": "bundled worked examples",
+}
+
+COMMANDS = {
+    ("rep-check",): Command(run_rep_check, "commutation and relator membership"),
+    ("image",): Command(run_image, "image ideal of a point", [Flag("degree-bound", int)]),
+    ("pushforward",): Command(run_pushforward, "Chan-Paton module decomposition"),
+    ("hilbert-chow",): Command(run_hilbert_chow, "characteristic polynomial and root cycle"),
+    ("conjugate",): Command(run_conjugate, "GL_r conjugacy of two tuples", [Flag("seed", int)]),
+    ("orbit-compare",): Command(run_orbit_compare, "closure order on Jordan data"),
+    ("orbit-extremes",): Command(run_orbit_extremes, "maximal/minimal orbit over a support"),
+    ("higgsing", "solve"): Command(run_higgsing_solve, None, [
+        Flag("A", json_or_text, "2x2 polynomial matrix, JSON"),
+        Flag("lambda", str, "nonzero scalar", "LAM"),
+        Flag("bhat", json_or_text, "four scalars, JSON array")]),
+    ("spectral-curve",): Command(run_spectral_curve, "det(lambda - Phi(z))",
+                                 [Flag("phi", json_or_text, "square polynomial matrix, JSON")]),
+    ("weyl-check",): Command(run_weyl_check, "truncated [d, z] = 1 check",
+                             [Flag("N", int, "degree cap"), Flag("r", int, "tuple rank")]),
+    ("torus", "class"): Command(run_torus_class),
+    ("torus", "amalgamate"): Command(run_torus_amalgamate),
+    ("torus", "slag"): Command(run_torus_slag),
+    ("torus", "cancel"): Command(run_torus_cancel),
+    ("torus", "validate-profile"): Command(run_torus_validate_profile),
+    ("kahler", "trace"): Command(run_kahler_trace, None, [Flag("form", json_or_text, "formal form, JSON")]),
+    ("kahler", "pullback"): Command(run_kahler_pullback, None, [
+        Flag("phi", json_or_text, "morphism to affine space, JSON"),
+        Flag("form", json_or_text, "classical 1-form coefficients, JSON")]),
+    ("scenario", "run-all"): Command(run_scenarios, input=False),
 }
 
 
-def dispatch(command, payload, options=None):
-    handler = HANDLERS.get(tuple(command))
-    if handler is None:
+def dispatch(command, payload):
+    entry = COMMANDS.get(tuple(command))
+    if entry is None:
         raise InputError(f"unknown command {' '.join(command)}")
-    return handler(payload, options or {})
+    return entry.handler(payload)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _read_payload(args) -> dict:
+def _read_payload(args, flags) -> dict:
     payload = {}
     if getattr(args, "input", None):
         if args.input == "-":
@@ -319,32 +357,14 @@ def _read_payload(args) -> dict:
             payload = json.loads(text)
         except ValueError as exc:  # also integers past Python's int-string limit
             raise InputError(f"invalid JSON input: {exc}") from exc
-    for key in ("A", "phi", "form", "bhat"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for flag in flags:
+        field = flag.name.replace("-", "_")
+        value = getattr(args, field)
+        if value is not None:
             if not isinstance(payload, dict):
                 raise InputError("inline flags need an object payload")
-            try:
-                payload[key] = json.loads(val)
-            except ValueError:
-                payload[key] = val
-    lam = getattr(args, "lam", None)
-    if lam is not None:
-        payload["lambda"] = lam
-    for key in ("N", "r"):
-        val = getattr(args, key, None)
-        if val is not None:
-            payload[key] = val
+            payload[field] = value
     return payload
-
-
-def _options(args) -> dict:
-    out = {}
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    if getattr(args, "degree_bound", None) is not None:
-        out["degree_bound"] = args.degree_bound
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,56 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations for matrix-tuple brane morphisms.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p, input_flag=True, seed=False, degree=False):
-        if input_flag:
+    groups = {}
+    for command, entry in COMMANDS.items():
+        if len(command) == 1:
+            p = sub.add_parser(command[0], help=entry.help)
+        else:
+            group, name = command
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=GROUPS[group]).add_subparsers(
+                    dest="subcmd", required=True
+                )
+            p = groups[group].add_parser(name)
+        if entry.input:
             p.add_argument("--input", help="JSON file path or - for stdin")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if degree:
-            p.add_argument("--degree-bound", dest="degree_bound", type=int)
-        return p
-
-    common(sub.add_parser("rep-check", help="commutation and relator membership"))
-    common(sub.add_parser("image", help="image ideal of a point"), degree=True)
-    common(sub.add_parser("pushforward", help="Chan-Paton module decomposition"))
-    common(sub.add_parser("hilbert-chow", help="characteristic polynomial and root cycle"))
-    common(sub.add_parser("conjugate", help="GL_r conjugacy of two tuples"), seed=True)
-    common(sub.add_parser("orbit-compare", help="closure order on Jordan data"))
-    common(sub.add_parser("orbit-extremes", help="maximal/minimal orbit over a support"))
-
-    hig = sub.add_parser("higgsing", help="deformation ODE tools")
-    hsub = hig.add_subparsers(dest="subcmd", required=True)
-    hs = common(hsub.add_parser("solve"))
-    hs.add_argument("--A", help="2x2 polynomial matrix, JSON")
-    hs.add_argument("--lambda", dest="lam", help="nonzero scalar")
-    hs.add_argument("--bhat", help="four scalars, JSON array")
-
-    sc = common(sub.add_parser("spectral-curve", help="det(lambda - Phi(z))"))
-    sc.add_argument("--phi", help="square polynomial matrix, JSON")
-
-    wc = common(sub.add_parser("weyl-check", help="truncated [d, z] = 1 check"))
-    wc.add_argument("--N", type=int, help="degree cap")
-    wc.add_argument("--r", type=int, help="tuple rank")
-
-    tor = sub.add_parser("torus", help="A-branes on the flat torus")
-    tsub = tor.add_subparsers(dest="subcmd", required=True)
-    for name in ("class", "amalgamate", "slag", "cancel", "validate-profile"):
-        common(tsub.add_parser(name))
-
-    kah = sub.add_parser("kahler", help="formal differential forms")
-    ksub = kah.add_subparsers(dest="subcmd", required=True)
-    kt = common(ksub.add_parser("trace"))
-    kt.add_argument("--form", help="formal form, JSON")
-    kp = common(ksub.add_parser("pullback"))
-    kp.add_argument("--phi", help="morphism to affine space, JSON")
-    kp.add_argument("--form", help="classical 1-form coefficients, JSON")
-
-    scn = sub.add_parser("scenario", help="bundled worked examples")
-    ssub = scn.add_subparsers(dest="subcmd", required=True)
-    srun = ssub.add_parser("run-all")
-    srun.add_argument("--seed", type=int, default=0)
-
+        for flag in entry.flags:
+            p.add_argument("--" + flag.name, type=flag.type, help=flag.help, metavar=flag.metavar)
     return parser
 
 
@@ -417,7 +402,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     command = (args.cmd,) if getattr(args, "subcmd", None) is None else (args.cmd, args.subcmd)
     try:
-        payload = _read_payload(args)
+        payload = _read_payload(args, COMMANDS[command].flags)
         # jsonio.MAX_LITERAL_DIGITS bounds every input literal, but exact
         # results can outgrow Python's int-to-string limit (five 1000-digit
         # eigenvalues make a 5000-digit determinant): lift it while they
@@ -425,7 +410,7 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            out = dispatch(command, payload, _options(args))
+            out = dispatch(command, payload)
             text = canonical_json(out)
         finally:
             sys.set_int_max_str_digits(limit)

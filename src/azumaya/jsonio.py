@@ -30,8 +30,22 @@ class InputError(Exception):
     """Malformed input payload (schema, shape or scalar syntax)."""
 
 
+def build(cls, *args):
+    """cls(*args) from parsed fields, with a value the type refuses (its
+    ValueError) reported as malformed input."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 MAX_LITERAL_DIGITS = 1000
 _INT_LIMIT = 10**MAX_LITERAL_DIGITS
+# Bounds on the work of the two requests that small integer fields make
+# slow; the largest accepted request of each answers in about a second on
+# a 2-core host.
+MAX_MONOMIALS = 100  # image: monomials of degree <= D in the point's variables
+MAX_WEYL_TERMS = 200_000  # weyl-check: r*N*(r + N), r*(N-1) states of r entries
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +186,13 @@ def parse_terms(obj, variables) -> MultiPoly:
         if exps in terms:
             raise InputError("duplicate exponent tuple in term list")
         terms[exps] = c
-    return MultiPoly(tuple(variables), terms)
+    return build(MultiPoly, tuple(variables), terms)
 
 
 def terms_json(f: MultiPoly):
     return [
         {"exps": list(e), "coef": scalar_json(c)} for e, c in f.sorted_terms()
     ]
-
-
-def multipoly_json(f: MultiPoly):
-    return {"vars": list(f.vars), "terms": terms_json(f)}
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +207,10 @@ def parse_rep_point(obj) -> RepPoint:
         mats = [parse_matrix(m) for m in obj["matrices"]]
     except KeyError as exc:
         raise InputError(f"representation point needs {exc}") from exc
-    try:
-        t = RepPoint(variables, mats)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    t = build(RepPoint, variables, mats)
     if "r" in obj and parse_int(obj["r"], "r") != t.r:
         raise InputError("declared rank does not match the matrices")
     return t
-
-
-def rep_point_json(t: RepPoint):
-    return {
-        "r": t.r,
-        "vars": list(t.vars),
-        "matrices": [matrix_json(m) for m in t.matrices],
-    }
 
 
 def parse_presentation(obj) -> AffinePresentation:
@@ -219,14 +218,7 @@ def parse_presentation(obj) -> AffinePresentation:
         raise InputError("a presentation is {vars, relators}")
     variables = tuple(str(v) for v in obj["vars"])
     relators = [parse_terms(r, variables) for r in obj.get("relators", [])]
-    return AffinePresentation(variables, relators)
-
-
-def support_json(s: SupportLengthData):
-    return [
-        {"point": [scalar_string(x) for x in pt], "length": ln}
-        for pt, ln in s.entries
-    ]
+    return build(AffinePresentation, variables, relators)
 
 
 def parse_support(obj) -> SupportLengthData:
@@ -237,7 +229,7 @@ def parse_support(obj) -> SupportLengthData:
     entries = []
     for e in obj:
         entries.append((tuple(parse_scalar(x) for x in e["point"]), parse_int(e["length"], "length")))
-    return SupportLengthData(entries)
+    return build(SupportLengthData, entries)
 
 
 def pushforward_json(pf: PushforwardModule):
@@ -270,10 +262,7 @@ def parse_jordan(obj) -> JordanData:
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad Jordan entry {e!r}") from exc
         entries.append((pt, parts))
-    try:
-        return JordanData(entries)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return build(JordanData, entries)
 
 
 def jordan_json(j: JordanData):
@@ -290,7 +279,7 @@ def jordan_json(j: JordanData):
 def parse_morphism(obj) -> AzCircleMorphism:
     if not isinstance(obj, dict) or "tau" not in obj:
         raise InputError("a torus morphism is {tau, components, profile?}")
-    geom = TorusGeometry(parse_scalar(obj["tau"]))
+    geom = build(TorusGeometry, parse_scalar(obj["tau"]))
     comps = []
     for c in obj.get("components", []):
         cls = c.get("class")
@@ -299,7 +288,8 @@ def parse_morphism(obj) -> AzCircleMorphism:
         wrap = parse_int(c.get("wrap", 1), "wrap")
         full = HomologyClass(parse_int(cls[0], "class") * wrap, parse_int(cls[1], "class") * wrap)
         comps.append(
-            Component(
+            build(
+                Component,
                 parse_int(c.get("d", 1), "d"),
                 full,
                 parse_scalar(c.get("offset", 0)),
@@ -344,7 +334,7 @@ def parse_surrogate(obj) -> SurrogateClass:
         obj = obj.get("target", obj.get("surrogate"))
     if not isinstance(obj, list) or len(obj) != 3:
         raise InputError("a surrogate class is [r, p, q]")
-    return SurrogateClass(*(parse_int(x, "surrogate") for x in obj))
+    return build(SurrogateClass, *(parse_int(x, "surrogate") for x in obj))
 
 
 def cycle_json(cyc: WeightedCycle):
@@ -383,10 +373,7 @@ def parse_poly_matrix(obj, var: str = "z") -> PolyMatrix:
             else:
                 new.append(UniPoly.constant(parse_scalar(e), var))
         grid.append(new)
-    try:
-        return PolyMatrix(grid, var)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return build(PolyMatrix, grid, var)
 
 
 def poly_matrix_json(b: PolyMatrix):
@@ -415,10 +402,7 @@ def parse_mpoly_matrix(obj, variables=None) -> MPolyMatrix:
             else:
                 new.append(MultiPoly.constant(variables, parse_scalar(e)))
         grid.append(new)
-    try:
-        return MPolyMatrix(variables, grid)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return build(MPolyMatrix, variables, grid)
 
 
 def mpoly_matrix_json(m: MPolyMatrix):
@@ -447,10 +431,7 @@ def parse_formal_form(obj) -> FormalForm:
             raise InputError("a form term needs at least one differential factor")
         terms.append(FormTerm(pre, factors))
         degree = len(factors)
-    try:
-        return FormalForm(variables, r, degree, terms)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return build(FormalForm, variables, r, degree, terms)
 
 
 def formal_form_json(w: FormalForm):
@@ -487,7 +468,4 @@ def parse_affine_morphism(obj) -> MorphismToAffine:
         raise InputError("a morphism is {target_vars, source_vars, r?, images}")
     source_vars = tuple(str(v) for v in obj.get("source_vars", ()))
     images = [parse_mpoly_matrix(m, source_vars or None) for m in obj["images"]]
-    try:
-        return MorphismToAffine(tuple(str(v) for v in obj["target_vars"]), images)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return build(MorphismToAffine, tuple(str(v) for v in obj["target_vars"]), images)

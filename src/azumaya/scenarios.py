@@ -7,7 +7,7 @@ path and compares canonical JSON byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -16,7 +16,6 @@ class Scenario:
     command: tuple
     payload: dict | list
     expected: dict
-    options: dict = field(default_factory=dict)
 
 
 _TAU = "0+1i"
@@ -78,9 +77,9 @@ SCENARIOS = (
                 "r": 2,
                 "vars": ["z1", "z2"],
                 "matrices": [[[0, 0], [0, 1]], [[0, 0], [0, 0]]],
-            }
+            },
+            "degree_bound": 1,
         },
-        options={"degree_bound": 1},
         expected={
             "vars": ["z1", "z2"],
             "degree_bound": 1,

@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -230,7 +232,7 @@ def test_main_keeps_no_state_between_calls(monkeypatch, capsys):
         (["conjugate"], pair),
         (["hilbert-chow"], "[[1,2],[3,4]]"),
         (["hilbert-chow"], "[[1,2]]"),
-        (["scenario", "run-all", "--seed", "4"], None),
+        (["scenario", "run-all"], None),
         (["weyl-check", "--N", "x"], None),
         (["no-such-command"], None),
     ]
@@ -281,11 +283,12 @@ def test_main_keeps_no_state_between_calls(monkeypatch, capsys):
     ],
 )
 def test_integer_fields_are_bounded(command, payload, options, field):
+    payload = {**payload, **options}  # options are flag values, which are payload fields
     if field is None:  # a control: nothing here is an integer field
-        dispatch(command, payload, options)
+        dispatch(command, payload)
         return
     with pytest.raises(InputError) as exc:
-        dispatch(command, payload, options)
+        dispatch(command, payload)
     assert str(exc.value) == f"integer field {field!r} exceeds the limit of {jsonio.MAX_LITERAL_DIGITS} digits"
 
 
@@ -301,3 +304,106 @@ def test_integer_field_limit(monkeypatch, capsys):
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == {"error": "malformed-input",
                                  "detail": f"integer field 'wrap' exceeds the limit of {limit} digits"}
+
+
+@pytest.mark.parametrize(
+    "command, payload, detail",
+    [
+        (["torus", "class"], {"tau": "0+1i", "components": [{"class": [1, 0], "d": 0}]},
+         "cover degree must be positive"),
+        (["torus", "class"], {"tau": "1", "components": [{"class": [1, 0]}]},
+         "the modulus must have positive imaginary part"),
+        (["orbit-extremes"], {"support": [{"point": [0], "length": 0}]}, "lengths must be positive"),
+        (["torus", "slag"], {"tau": "0+1i", "target": [-1, 0, 0]}, "covering degree must be nonnegative"),
+        (["rep-check"], {"point": {"vars": ["z"], "matrices": [[[1]]]},
+                         "presentation": {"vars": ["z"], "relators": [[{"exps": [-1], "coef": 1}]]}},
+         "negative exponent"),
+        (["weyl-check"], {"N": 0}, "degree cap must be at least 1"),
+        (["higgsing", "solve"], {"A": [[[], []], [[], []]], "lambda": 0}, "lam must be nonzero"),
+    ],
+    ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda"],
+)
+def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
+    code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
+    assert (code, out) == (2, {"error": "malformed-input", "detail": detail})
+
+
+def test_errors_while_computing_stay_domain_errors(monkeypatch, capsys):
+    payload = {"phi1": {"components": [{"class": [1, 0]}], "tau": "0+1i"},
+               "phi2": {"components": [{"class": [0, 1]}], "tau": "0+2i"}}
+    code, out = run_main(["torus", "amalgamate"], json.dumps(payload), monkeypatch, capsys)
+    assert (code, out["error"]) == (1, "domain-error")
+
+
+def _accepted_commands(parser, prefix=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {prefix}
+    return set().union(*(_accepted_commands(p, prefix + (name,)) for name, p in subparsers[0].choices.items()))
+
+
+def test_command_table_is_the_parser_and_flags_are_payload_fields(monkeypatch):
+    assert _accepted_commands(cli.build_parser()) == set(cli.COMMANDS)
+    # flag -> (text given, payload field, value that lands there)
+    flags = {
+        ("image",): {"--degree-bound": ("3", "degree_bound", 3)},
+        ("conjugate",): {"--seed": ("7", "seed", 7)},
+        ("higgsing", "solve"): {"--A": ("[[[],[1]],[[],[]]]", "A", [[[], [1]], [[], []]]),
+                                "--lambda": ("1.5", "lambda", "1.5"),
+                                "--bhat": ("[1,0,0,0]", "bhat", [1, 0, 0, 0])},
+        ("spectral-curve",): {"--phi": ("not json", "phi", "not json")},
+        ("weyl-check",): {"--N": ("5", "N", 5), "--r": ("2", "r", 2)},
+        ("kahler", "trace"): {"--form": ('{"r":1}', "form", {"r": 1})},
+        ("kahler", "pullback"): {"--phi": ("{}", "phi", {}), "--form": ("[]", "form", [])},
+    }
+    seen = []
+    monkeypatch.setattr(cli, "dispatch", lambda command, payload: seen.append((command, payload)) or {})
+    for command, entry in cli.COMMANDS.items():
+        assert ["--" + f.name for f in entry.flags] == list(flags.get(command, {}))
+        for flag, (text, field, value) in flags.get(command, {}).items():
+            assert main([*command, flag, text]) == 0
+            assert seen.pop() == (command, {field: value})
+
+
+def test_flags_override_input_fields(monkeypatch, capsys):
+    point = {"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]], "degree_bound": 1}
+    code, out = run_main(["image"], json.dumps(point), monkeypatch, capsys)
+    assert code == 0 and out["degree_bound"] == 1
+    code, out = run_main(["image", "--degree-bound", "3"], json.dumps(point), monkeypatch, capsys)
+    assert code == 0 and out["degree_bound"] == 3
+
+
+@pytest.mark.parametrize(
+    "command, payload, detail",
+    [
+        (["image", "--degree-bound", "300"], {"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]},
+         f"image: the monomials of degree <= 300 in 2 variables exceed the limit of {jsonio.MAX_MONOMIALS}"),
+        (["image", "--degree-bound", "13"], {"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]},
+         f"image: the monomials of degree <= 13 in 2 variables exceed the limit of {jsonio.MAX_MONOMIALS}"),
+        (["image"], {"vars": ["x", "y"], "matrices": [[[int(i == j) for j in range(13)] for i in range(13)]] * 2},
+         f"image: the monomials of degree <= 13 in 2 variables exceed the limit of {jsonio.MAX_MONOMIALS}"),
+        (["weyl-check", "--N", "3000"], {}, f"weyl-check: r*N*(r+N) exceeds the limit of {jsonio.MAX_WEYL_TERMS}"),
+        (["weyl-check", "--N", "316", "--r", "2"], {},
+         f"weyl-check: r*N*(r+N) exceeds the limit of {jsonio.MAX_WEYL_TERMS}"),
+        (["weyl-check", "--N", "2", "--r", "100000"], {},
+         f"weyl-check: r*N*(r+N) exceeds the limit of {jsonio.MAX_WEYL_TERMS}"),
+        (["weyl-check", "--N", "1"], {}, "weyl-check: N = 1 is below the limit of 2"),
+    ],
+    ids=["image-D300", "image-D13", "image-default-r13", "weyl-N3000", "weyl-N316-r2", "weyl-N2-r100000",
+         "weyl-N1"],
+)
+def test_work_limits_refuse_up_front(command, payload, detail, monkeypatch, capsys):
+    start = time.perf_counter()
+    code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, {"error": "malformed-input", "detail": detail})
+
+
+def test_requests_just_inside_the_work_limits_are_answered(monkeypatch, capsys):
+    assert math.comb(12 + 2, 2) <= jsonio.MAX_MONOMIALS < math.comb(13 + 2, 2)
+    point = {"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]}
+    code, out = run_main(["image", "--degree-bound", "12"], json.dumps(point), monkeypatch, capsys)
+    assert code == 0 and out["degree_bound"] == 12 and out["basis"]
+    assert 2 * 315 * (2 + 315) <= jsonio.MAX_WEYL_TERMS < 2 * 316 * (2 + 316)
+    code, out = run_main(["weyl-check", "--N", "315", "--r", "2"], "{}", monkeypatch, capsys)
+    assert (code, out) == (0, {"cap": 315, "checked_degrees": 313, "ok": True, "rank": 2})
