@@ -173,6 +173,8 @@ def run_spectral_curve(payload):
 
 
 def run_weyl_check(payload):
+    if not isinstance(payload, dict):
+        raise InputError("weyl-check: the payload must be a JSON object")
     cap = jsonio.parse_int(payload.get("N", payload.get("cap", 16)), "N")
     r = jsonio.parse_int(payload.get("r", 1), "r")
     w = jsonio.build(WeylTrunc, cap, r)

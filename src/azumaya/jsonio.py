@@ -74,15 +74,23 @@ def parse_scalar(obj) -> GaussianRational:
 
 
 def parse_int(value, field: str) -> int:
-    """int(value) for an integer field, refusing more than MAX_LITERAL_DIGITS
-    digits first: int() of a long digit string takes quadratic time."""
+    """The integer of an integer field: a JSON integer, an integral float or
+    an integer string.  A bool, a float with a fractional part and a string
+    that is not an integer are refused, and so is more than
+    MAX_LITERAL_DIGITS digits, before int() runs: int() of a long digit
+    string takes quadratic time."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"integer field {field!r} is not an integer: {value!r}")
     if isinstance(value, str):
         too_long = len(value.strip().lstrip("+-").replace("_", "")) > MAX_LITERAL_DIGITS
     else:
         too_long = isinstance(value, int) and abs(value) >= _INT_LIMIT
     if too_long:
         raise InputError(f"integer field {field!r} exceeds the limit of {MAX_LITERAL_DIGITS} digits")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError as exc:  # a string that is not an integer
+        raise InputError(f"integer field {field!r} is not an integer: {value[:40]!r}") from exc
 
 
 def _fraction(text: str) -> Fraction:

@@ -17,7 +17,7 @@ exposed as an oracle.
 
 from __future__ import annotations
 
-from .linalg import Matrix, commutator
+from .linalg import Matrix, _dot, commutator
 from .poly import MultiPoly
 from .scalars import GaussianRational, ONE
 
@@ -293,29 +293,28 @@ def trace_form(w: FormalForm) -> ClassicalForm:
     n = len(w.vars)
     coeffs = {}
     for t in w.terms:
-        partials = [
-            [(dm.partial(k), post) for k in range(n)] for dm, post in t.factors
-        ]
-        _accumulate(coeffs, t.pre, partials, (), w.vars)
+        slots = [(post, [dm.partial(k) for k in range(n)]) for dm, post in t.factors]
+        _accumulate(coeffs, t.pre, slots, ())
     return ClassicalForm(w.vars, w.degree, coeffs)
 
 
-def _accumulate(coeffs, acc: MPolyMatrix, partials, idx, variables):
-    if not partials:
-        c = acc.trace()
-        if not c.is_zero():
-            prev = coeffs.get(idx)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = s
+def _accumulate(coeffs, acc: MPolyMatrix, slots, idx):
+    """Add trace(acc * dpart_1 * post_1 * ... * dpart_s * post_s) to the
+    coefficient of each index tuple (k_1, ..., k_s) of the slots' partials."""
+    post, dparts = slots[0]
+    if len(slots) > 1:
+        for k, dpart in enumerate(dparts):
+            if not dpart.is_zero():
+                _accumulate(coeffs, acc * dpart * post, slots[1:], idx + (k,))
         return
-    slot = partials[0]
-    for k, (dpart, post) in enumerate(slot):
-        if dpart.is_zero():
-            continue
-        _accumulate(coeffs, acc * dpart * post, partials[1:], idx + (k,), variables)
+    # last slot: trace(acc * dpart * post) = trace(dpart * q) with q = post * acc,
+    # which is the sum of dpart[i][j] * q[j][i]; ClassicalForm drops zero sums
+    q = (post * acc).transpose().vec()
+    for k, dpart in enumerate(dparts):
+        if not dpart.is_zero():
+            key = idx + (k,)
+            c = _dot(dpart.vec(), q)
+            coeffs[key] = coeffs[key] + c if key in coeffs else c
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,20 @@ leading coefficient nonzero (the zero polynomial is the empty tuple).
 ``MultiPoly`` keeps a map from exponent tuples to nonzero coefficients;
 the canonical term order is graded lexicographic on the declared variable
 order (serialization lists terms by ascending (total degree, exponents)).
+
+The public constructors coerce and validate their input.  Arithmetic
+results are already canonical and go through the trusted ``_new`` of each
+class, which stores them as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .scalars import GaussianRational, ONE, ZERO
+
+_object_new = object.__new__
 
 
 def _coerce_scalar(c) -> GaussianRational:
@@ -24,11 +31,17 @@ class UniPoly:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs=()):
-        cs = [_coerce_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
         self.var = var
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed([_coerce_scalar(c) for c in coeffs])
+
+    @classmethod
+    def _new(cls, var: str, coeffs: tuple) -> "UniPoly":
+        """The trusted constructor of arithmetic results: a tuple of
+        GaussianRationals with no trailing zero, kept as it is."""
+        p = _object_new(cls)
+        p.var = var
+        p.coeffs = coeffs
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -76,41 +89,42 @@ class UniPoly:
     def constant_term(self) -> GaussianRational:
         return self.coeffs[0] if self.coeffs else ZERO
 
-    def coeff(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
-
     def __bool__(self):
         return bool(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_var(self, other: "UniPoly"):
-        if self.var != other.var and not (self.is_constant() or other.is_constant()):
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def _result_var(self, other: "UniPoly") -> str:
-        # constants adopt the other operand's variable
-        if self.is_constant() and not other.is_constant():
+    def _common_var(self, other: "UniPoly") -> str:
+        """The variable of a result; a constant adopts the other operand's."""
+        if self.var == other.var or len(other.coeffs) <= 1:
+            return self.var
+        if len(self.coeffs) <= 1:
             return other.var
-        return self.var
+        raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
 
-    def __add__(self, other):
+    def _merge(self, other, op) -> "UniPoly":
+        """self + other or self - other (op is add or sub), coefficientwise."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = UniPoly.constant(other, self.var)
-        self._same_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self._result_var(other),
-                       [self.coeff(k) + other.coeff(k) for k in range(n)])
+        var = self._common_var(other)
+        a, b = self.coeffs, other.coeffs
+        out = list(map(op, a, b))
+        if len(a) > len(b):
+            return UniPoly._new(var, tuple(out) + a[len(b):])
+        if len(a) < len(b):
+            return UniPoly._new(var, tuple(out + [op(ZERO, y) for y in b[len(a):]]))
+        return UniPoly._new(var, _trimmed(out))
+
+    def __add__(self, other):
+        return self._merge(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.var, [-c for c in self.coeffs])
+        return UniPoly._new(self.var, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = UniPoly.constant(other, self.var)
-        return self + (-other)
+        return self._merge(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -118,18 +132,27 @@ class UniPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce_scalar(other)
-            return UniPoly(self.var, [a * c for a in self.coeffs])
-        self._same_var(other)
-        var = self._result_var(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero(var)
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if c.is_zero():
+                return UniPoly._new(self.var, ())
+            return UniPoly._new(self.var, tuple([a * c for a in self.coeffs]))
+        var = self._common_var(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return UniPoly._new(var, ())
+        if len(b) == 1:  # a nonzero constant factor
+            c = b[0]
+            return UniPoly._new(var, tuple([x * c for x in a]))
+        if len(a) == 1:
+            c = a[0]
+            return UniPoly._new(var, tuple([c * y for y in b]))
+        out = [ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x.is_zero():
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(var, out)
+            for j, y in enumerate(b, i):
+                out[j] = out[j] + x * y
+        # the product of the two leading coefficients is nonzero
+        return UniPoly._new(var, tuple(out))
 
     __rmul__ = __mul__
 
@@ -149,20 +172,21 @@ class UniPoly:
         """Exact field-coefficient long division: (quotient, remainder)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        self._same_var(other)
+        self._common_var(other)  # raises on a variable mismatch
+        bs = other.coeffs
         rem = list(self.coeffs)
-        q = [ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and rem:
+        d = len(bs) - 1
+        lead = bs[-1]
+        q = [ZERO] * max(len(rem) - d, 0)
+        while len(rem) > d:
             k = len(rem) - 1 - d
-            f = rem[-1] / lead
+            f = rem.pop() / lead  # cancels the leading term exactly
             q[k] = f
-            for j in range(len(other.coeffs)):
-                rem[k + j] = rem[k + j] - f * other.coeffs[j]
+            for j in range(d):
+                rem[k + j] = rem[k + j] - f * bs[j]
             while rem and rem[-1].is_zero():
                 rem.pop()
-        return UniPoly(self.var, q), UniPoly(self.var, rem)
+        return UniPoly._new(self.var, tuple(q)), UniPoly._new(self.var, tuple(rem))
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -182,7 +206,7 @@ class UniPoly:
         if self.is_zero():
             return self
         lead = self.leading()
-        return UniPoly(self.var, [c / lead for c in self.coeffs])
+        return UniPoly._new(self.var, tuple([c / lead for c in self.coeffs]))
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         a, b = self, other
@@ -197,7 +221,8 @@ class UniPoly:
         return (self * other).exact_div(g).monic()
 
     def deriv(self) -> "UniPoly":
-        return UniPoly(self.var, [self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+        cs = self.coeffs
+        return UniPoly._new(self.var, tuple([cs[k] * k for k in range(1, len(cs))]))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -219,7 +244,7 @@ class UniPoly:
         return acc
 
     def rename(self, var: str) -> "UniPoly":
-        return UniPoly(var, self.coeffs)
+        return UniPoly._new(var, self.coeffs)
 
     def as_multi(self, variables, index: int) -> "MultiPoly":
         """Lift into a multivariate ring, mapping the variable to slot `index`."""
@@ -284,6 +309,16 @@ class MultiPoly:
             clean[exps] = c
         self.terms = clean
 
+    @classmethod
+    def _new(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """The trusted constructor of arithmetic results: a dict from
+        exponent tuples of ints to nonzero GaussianRationals, kept as it
+        is."""
+        p = _object_new(cls)
+        p.vars = variables
+        p.terms = terms
+        return p
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -328,28 +363,30 @@ class MultiPoly:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other):
+    def _merge(self, other, op) -> "MultiPoly":
+        """self + other or self - other (op is add or sub), term by term."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = MultiPoly.constant(self.vars, other)
         self._same_vars(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
+            s = op(out[e] if e in out else ZERO, c)
             if s.is_zero():
-                out.pop(e, None)
+                del out[e]
             else:
                 out[e] = s
-        return MultiPoly(self.vars, out)
+        return MultiPoly._new(self.vars, out)
+
+    def __add__(self, other):
+        return self._merge(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.constant(self.vars, other)
-        return self + (-other)
+        return self._merge(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -358,19 +395,18 @@ class MultiPoly:
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce_scalar(other)
             if c.is_zero():
-                return MultiPoly.zero(self.vars)
-            return MultiPoly(self.vars, {e: a * c for e, a in self.terms.items()})
+                return MultiPoly._new(self.vars, {})
+            return MultiPoly._new(self.vars, {e: a * c for e, a in self.terms.items()})
         self._same_vars(other)
         out = {}
+        get = out.get
+        others = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.vars, out)
+            for e2, c2 in others:
+                e = tuple(map(add, e1, e2))
+                prev = get(e)
+                out[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return MultiPoly._new(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -396,7 +432,7 @@ class MultiPoly:
             e2 = list(e)
             e2[index] = k - 1
             out[tuple(e2)] = c * k
-        return MultiPoly(self.vars, out)
+        return MultiPoly._new(self.vars, out)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -459,6 +495,13 @@ class MultiPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _trimmed(cs: list) -> tuple:
+    """The coefficients without their trailing zeros."""
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
 
 
 def monomials_up_to(nvars: int, degree: int):

@@ -1,8 +1,9 @@
 """What the benchmark in bench/ needs of the matrix and scalar classes.
 
 bench/tracer.py times each matrix class's product through the `__mul__`
-in that class's own namespace, and counts Q(i) operations through the
-`GaussianRational` operators in its class dict. bench/run.py's `digest`
+in that class's own namespace, times the `UniPoly` and `MultiPoly`
+products through the `__mul__` in their class dicts, and counts Q(i)
+operations through the `GaussianRational` operators in its class dict. bench/run.py's `digest`
 reads a value through `type(x).__slots__`. The check runs in a fresh
 interpreter, so the tracer's patching of the library stays out of the
 other tests.
@@ -32,6 +33,11 @@ az.Matrix([[1, 2], [3, 4]]) * az.Matrix([[0, 1], [1, 0]])
 p1 * p2
 az.MPolyMatrix(xy, [[az.MultiPoly.variable(xy, "x"), 1], [0, 1]]) * az.MPolyMatrix.identity(xy, 2)
 names = ("linalg.Matrix.mul", "higgsing.PolyMatrix.mul", "kahler.MPolyMatrix.mul")
+poly_names = ("poly.UniPoly.mul", "poly.MultiPoly.mul")
+before = [tracer.calls[name] for name in poly_names]
+(z + 1) * (z - 2)
+(az.MultiPoly.variable(xy, "x") + 1) * az.MultiPoly.variable(xy, "y")
+poly_calls = [tracer.calls[name] - b for name, b in zip(poly_names, before)]
 scalar_keys = ("scalars.mul", "scalars.add", "scalars.div")
 
 def scalar_counts(fn):
@@ -42,6 +48,7 @@ def scalar_counts(fn):
 x, y = az.gr(1, 2), az.gr(Fraction(1, 3), -1)
 print(json.dumps({
     "calls": {name: tracer.calls[name] for name in names},
+    "poly_calls": poly_calls,
     "scalar_counts": [scalar_counts(lambda: x * y), scalar_counts(lambda: x + y), scalar_counts(lambda: x / y)],
     "scalar_digest": digest(az.gr(Fraction(1, 2))) != digest(az.gr(Fraction(1, 3))),
     "digest_tells_apart": digest(p1) != digest(p2),
@@ -58,6 +65,7 @@ def test_tracer_and_digest_see_each_matrix_class():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["calls"] == {"linalg.Matrix.mul": 1, "higgsing.PolyMatrix.mul": 1, "kahler.MPolyMatrix.mul": 1}
+    assert out["poly_calls"] == [1, 1]
     assert out["digest_tells_apart"] and out["digest_stable"]
     assert out["scalar_counts"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert out["scalar_digest"]

@@ -407,3 +407,36 @@ def test_requests_just_inside_the_work_limits_are_answered(monkeypatch, capsys):
     assert 2 * 315 * (2 + 315) <= jsonio.MAX_WEYL_TERMS < 2 * 316 * (2 + 316)
     code, out = run_main(["weyl-check", "--N", "315", "--r", "2"], "{}", monkeypatch, capsys)
     assert (code, out) == (0, {"cap": 315, "checked_degrees": 313, "ok": True, "rank": 2})
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "5", "null"])
+def test_weyl_check_refuses_a_payload_that_is_not_an_object(text, monkeypatch, capsys):
+    code, out = run_main(["weyl-check"], text, monkeypatch, capsys)
+    assert (code, out) == (2, {"error": "malformed-input", "detail": "weyl-check: the payload must be a JSON object"})
+
+
+# one request per field, with the field's value left open
+INTEGER_FIELD_REQUESTS = {
+    "N": (["weyl-check"], lambda v: {"N": v}),
+    "exps": (["kahler", "pullback"], lambda v: {
+        "phi": {"target_vars": ["u"], "source_vars": ["x"], "images": [[[[{"exps": [1], "coef": 1}]]]]},
+        "form": {"function": [{"exps": [v], "coef": 1}]}}),
+    "length": (["orbit-extremes"], lambda v: {"support": [{"point": [0], "length": v}]}),
+    "degree_bound": (["image"], lambda v: {"vars": ["z", "w"], "matrices": [[[1]], [[1]]], "degree_bound": v}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELD_REQUESTS))
+@pytest.mark.parametrize("value", [4.9, 2.5, -0.5, True, False, "4.5", "four"])
+def test_integer_fields_refuse_bools_fractions_and_non_integer_strings(field, value, monkeypatch, capsys):
+    command, request = INTEGER_FIELD_REQUESTS[field]
+    code, out = run_main(command, json.dumps(request(value)), monkeypatch, capsys)
+    assert (code, out) == (2, {"error": "malformed-input", "detail": f"integer field {field!r} is not an integer: {value!r}"})
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELD_REQUESTS))
+def test_integer_fields_accept_integer_strings_and_integral_floats(field, monkeypatch, capsys):
+    command, request = INTEGER_FIELD_REQUESTS[field]
+    answers = [run_main(command, json.dumps(request(v)), monkeypatch, capsys) for v in (3, "3", " 3 ", 3.0)]
+    assert answers[0][0] == 0
+    assert answers[1:] == answers[:1] * 3

@@ -1,8 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from azumaya.kahler import (
+    ClassicalForm,
+    FormalForm,
+    FormTerm,
     MorphismToAffine,
     MPolyMatrix,
     classical_d,
@@ -188,3 +192,40 @@ def test_formal_form_syntactic_equality():
     assert d(m).same_terms(d(m))
     assert not d(m).same_terms(d(m).scale(2))
     assert (d(m) - d(m)).terms == () or trace_form(d(m) - d(m)).is_zero()
+
+
+def _x_only(rng, r):
+    """A matrix whose entries do not involve y, so its partial in y is zero."""
+    return MPolyMatrix(V2, [[MultiPoly(V2, {(k, 0): rand_scalar(rng) for k in range(2)}) for _ in range(r)]
+                            for _ in range(r)])
+
+
+def _reference_trace_form(w):
+    """trace(pre * D_k1(dm_1) * post_1 * ... * D_ks(dm_s) * post_s) for every
+    index tuple (k_1, ..., k_s), by full matrix products."""
+    coeffs = {}
+    for t in w.terms:
+        for idx in itertools.product(range(len(w.vars)), repeat=w.degree):
+            acc = t.pre
+            for k, (dm, post) in zip(idx, t.factors):
+                acc = acc * dm.partial(k) * post
+            coeffs[idx] = coeffs.get(idx, MultiPoly.zero(w.vars)) + acc.trace()
+    return ClassicalForm(w.vars, w.degree, coeffs)
+
+
+def test_trace_form_matches_explicit_products():
+    rng = random.Random(23)
+    zero_partials = 0
+    for r in (1, 2, 3):
+        for _ in range(4):
+            forms = []
+            for _ in range(2):
+                terms = []
+                for _ in range(2):
+                    dm = _x_only(rng, r) if rng.random() < 0.4 else rand_mmatrix(rng, r)
+                    zero_partials += dm.partial(1).is_zero() and not dm.is_zero()
+                    terms.append(FormTerm(rand_mmatrix(rng, r), ((dm, rand_mmatrix(rng, r)),)))
+                forms.append(FormalForm(V2, r, 1, terms))
+            for w in forms + [tensor(*forms)]:
+                assert trace_form(w) == _reference_trace_form(w)
+    assert zero_partials >= 5

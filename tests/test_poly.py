@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from azumaya.linalg import Matrix
 from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
-from azumaya.scalars import gr
+from azumaya.scalars import GaussianRational, gr
 from helpers import rand_scalar
 
 
@@ -97,3 +98,128 @@ def test_unipoly_multi_lift():
     f = p.as_multi(("z", "v"), 0)
     assert f.eval_scalars([gr(1), gr(99)]) == 0
     assert f.total_degree() == 2
+
+
+# ---------------------------------------------------------------------------
+# arithmetic results are canonical and agree with sympy's exact Q(i)[...]
+
+
+ORACLE_POOL = [gr(0), gr(0), gr(1), gr(-1), gr(2), gr(0, 1), gr(Fraction(1, 2)), gr(Fraction(-2, 3), Fraction(1, 5))]
+SCALARS = [0, 3, Fraction(-1, 2), gr(0), gr(1, -1), gr(Fraction(2, 3), 2)]
+
+
+def _oracle_unipolys(rng):
+    """Seeded polynomials in z of degree <= 4 (zero and constants among
+    them, some with inner zero coefficients), plus constants in w."""
+    ps = [UniPoly("z", [rand_scalar(rng, ORACLE_POOL) for _ in range(rng.randrange(0, 6))]) for _ in range(30)]
+    ps += [UniPoly.zero("z"), UniPoly.one("z"), UniPoly.constant(gr(2, 1), "w"), UniPoly.zero("w"), z ** 3 - 1]
+    return ps
+
+
+def _oracle_multipolys(rng, variables=("x", "y")):
+    ps = []
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randrange(0, 5)):
+            terms[(rng.randrange(3), rng.randrange(3))] = rand_scalar(rng, ORACLE_POOL)
+        ps.append(MultiPoly(variables, terms))
+    return ps + [MultiPoly.zero(variables), MultiPoly.constant(variables, gr(0, -1))]
+
+
+def _assert_canonical_uni(p, var):
+    assert type(p) is UniPoly and p.var == var
+    assert all(type(c) is GaussianRational for c in p.coeffs)
+    assert p.coeffs == UniPoly(p.var, p.coeffs).coeffs
+    assert not p.coeffs or not p.coeffs[-1].is_zero()
+
+
+def _assert_canonical_multi(p, variables):
+    assert type(p) is MultiPoly and p.vars == variables
+    for e, c in p.terms.items():
+        assert type(c) is GaussianRational and not c.is_zero()
+        assert type(e) is tuple and len(e) == len(variables) and all(type(k) is int and k >= 0 for k in e)
+
+
+def test_arithmetic_results_are_canonical_and_agree_with_sympy():
+    pytest.importorskip("sympy")
+    from sympy import Poly, symbols
+    from sympy.polys.domains import QQ, QQ_I
+
+    gens = symbols("z x y")
+
+    def to_qq_i(c):
+        c = GaussianRational.coerce(c)
+        return QQ_I(QQ(c.re.numerator, c.re.denominator), QQ(c.im.numerator, c.im.denominator))
+
+    def from_qq_i(c):
+        return gr(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                  Fraction(int(c.y.numerator), int(c.y.denominator)))
+
+    def uni(p):  # every UniPoly goes to z: a constant in w is a constant in z
+        return Poly.from_dict({(k,): to_qq_i(c) for k, c in enumerate(p.coeffs) if c} or {(0,): QQ_I(0)},
+                              gens[0], domain=QQ_I)
+
+    def multi(p):
+        return Poly.from_dict({e: to_qq_i(c) for e, c in p.terms.items()} or {(0, 0): QQ_I(0)},
+                              *gens[1:], domain=QQ_I)
+
+    def terms_of(s):
+        return {e: from_qq_i(c) for e, c in s.as_dict(native=True).items() if c}
+
+    def check_uni(got, want, var):
+        _assert_canonical_uni(got, var)
+        assert {(k,): c for k, c in enumerate(got.coeffs) if c} == terms_of(want)
+
+    def check_multi(got, want, variables=("x", "y")):
+        _assert_canonical_multi(got, variables)
+        assert got.terms == terms_of(want)
+
+    rng = random.Random(77)
+    ps = _oracle_unipolys(rng)
+    for p in ps:
+        sp = uni(p)
+        check_uni(-p, -sp, p.var)
+        check_uni(p.deriv(), sp.diff(gens[0]), p.var)
+        check_uni(p - p, sp - sp, p.var)
+        check_uni(p + (-p), sp - sp, p.var)
+        for c in SCALARS:
+            sc = uni(UniPoly.constant(c, "z"))
+            check_uni(p * c, sp * sc, p.var)
+            check_uni(p + c, sp + sc, p.var)
+            check_uni(p - c, sp - sc, p.var)
+            if not isinstance(c, GaussianRational):  # its operators do not defer to a polynomial
+                check_uni(c * p, sp * sc, p.var)
+                check_uni(c - p, sc - sp, p.var)
+        for q in rng.sample(ps, 8) + [-p + UniPoly("z", [1]), -p]:
+            sq = uni(q)
+            var = q.var if p.is_constant() and not q.is_constant() else p.var
+            check_uni(p + q, sp + sq, var)
+            check_uni(p - q, sp - sq, var)
+            check_uni(p * q, sp * sq, var)
+            if not q.is_zero():
+                quo, rem = p.divmod(q)
+                want_quo, want_rem = sp.div(sq)
+                check_uni(quo, want_quo, p.var)
+                check_uni(rem, want_rem, p.var)
+
+    ms = _oracle_multipolys(rng)
+    for p in ms:
+        sp = multi(p)
+        check_multi(-p, -sp)
+        check_multi(p - p, sp - sp)
+        check_multi(p + (-p), sp - sp)
+        for k in range(2):
+            check_multi(p.partial(k), sp.diff(gens[1 + k]))
+        for c in SCALARS:
+            sc = multi(MultiPoly.constant(p.vars, c))
+            check_multi(p * c, sp * sc)
+            check_multi(p + c, sp + sc)
+            check_multi(p - c, sp - sc)
+            if not isinstance(c, GaussianRational):
+                check_multi(c * p, sp * sc)
+                check_multi(c - p, sc - sp)
+        for q in rng.sample(ms, 8) + [-p + MultiPoly.constant(p.vars, 1), -p]:
+            sq = multi(q)
+            check_multi(p + q, sp + sq)
+            check_multi(p - q, sp - sq)
+            check_multi(p * q, sp * sq)
