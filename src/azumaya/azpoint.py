@@ -21,10 +21,9 @@ from .linalg import (
     power_ranks,
     rank,
     ring_det,
-    rref,
     solve_exact,
 )
-from .poly import MultiPoly, UniPoly, monomials_up_to
+from .poly import MultiPoly, UniPoly, monomial_values, monomials_up_to
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -180,29 +179,19 @@ def vanishing_ideal(t: RepPoint, degree_bound: int | None = None):
     The space is the exact kernel of the evaluation map sending a
     polynomial of degree <= D to the matrix it takes on the tuple; the
     returned basis rows are in reduced echelon form with respect to the
-    canonical monomial order.  D defaults to the module rank.
+    canonical monomial order.  D defaults to the module rank.  They are the
+    `kernel_basis` over the monomials in reverse order, read backwards: each
+    is 1 at its free column, 0 at the others, else nonzero only higher up.
     """
     d = t.r if degree_bound is None else int(degree_bound)
     if d < 0:
         raise ValueError("degree bound must be nonnegative")
     monos = monomials_up_to(t.arity, d)
-    ident = Matrix.identity(t.r)
-    cols = []
-    for e in monos:
-        m = ident
-        for mat, k in zip(t.matrices, e):
-            for _ in range(k):
-                m = m * mat
-        cols.append(m.vec())
-    ev = Matrix.from_columns(cols)
-    coeff_rows = [list(v) for v in kernel_basis(ev)]
-    reduced, _ = rref(coeff_rows, len(monos))
-    out = []
-    for row in reduced:
-        if all(c.is_zero() for c in row):
-            continue
-        out.append(MultiPoly(t.vars, {e: c for e, c in zip(monos, row)}))
-    return tuple(out)
+    values = monomial_values(t.matrices, Matrix.identity(t.r), monos)
+    ev = Matrix.from_columns([m.vec() for m in reversed(values)])
+    return tuple(
+        MultiPoly(t.vars, dict(zip(monos, reversed(v)))) for v in reversed(kernel_basis(ev))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def build(cls, *args):
 MAX_LITERAL_DIGITS = 1000
 _INT_LIMIT = 10**MAX_LITERAL_DIGITS
 # Bounds on the work of the two requests that small integer fields make
-# slow; the largest accepted request of each answers in about a second on
-# a 2-core host.
+# slow.  On a 2-core host the largest accepted weyl-check answers in about
+# 0.7 s, and the largest accepted image on small matrices in about 0.02 s.
 MAX_MONOMIALS = 100  # image: monomials of degree <= D in the point's variables
 MAX_WEYL_TERMS = 200_000  # weyl-check: r*N*(r + N), r*(N-1) states of r entries
 
@@ -289,7 +289,9 @@ def parse_morphism(obj) -> AzCircleMorphism:
         raise InputError("a torus morphism is {tau, components, profile?}")
     geom = build(TorusGeometry, parse_scalar(obj["tau"]))
     comps = []
-    for c in obj.get("components", []):
+    for i, c in enumerate(obj.get("components", [])):
+        if not isinstance(c, dict):
+            raise InputError(f"component {i} is not an object: {c!r:.40}")
         cls = c.get("class")
         if not isinstance(cls, list) or len(cls) != 2:
             raise InputError("component class must be [p, q]")
@@ -424,7 +426,9 @@ def parse_formal_form(obj) -> FormalForm:
     r = parse_int(obj["r"], "r")
     terms = []
     degree = parse_int(obj.get("degree", 1), "degree")
-    for t in obj.get("terms", []):
+    for i, t in enumerate(obj.get("terms", [])):
+        if not isinstance(t, dict):
+            raise InputError(f"form term {i} is not an object: {t!r:.40}")
         pre = parse_mpoly_matrix(t["pre"], variables) if "pre" in t else MPolyMatrix.identity(variables, r)
         factors = []
         for f in t.get("factors", []):

@@ -437,36 +437,22 @@ class MultiPoly:
     # -- evaluation -------------------------------------------------------------
 
     def eval_scalars(self, values) -> GaussianRational:
-        values = [_coerce_scalar(v) for v in values]
-        if len(values) != len(self.vars):
-            raise ValueError("wrong number of values")
-        acc = ZERO
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(values, e):
-                if k:
-                    t = t * v**k
-            acc = acc + t
-        return acc
+        return self.eval_generic([_coerce_scalar(v) for v in values], ONE)
 
     def eval_generic(self, values, one):
         """Evaluate on any commuting family supporting * and +.
 
-        `one` is the multiplicative identity of the target (used for the
-        empty monomial and to embed scalar coefficients).
+        `one` is the multiplicative identity of the target (the value of
+        the empty monomial and of the zero polynomial, times ZERO).
         """
         if len(values) != len(self.vars):
             raise ValueError("wrong number of values")
-        acc = None
-        for e, c in self.sorted_terms():
-            t = one * c
-            for v, k in zip(values, e):
-                for _ in range(k):
-                    t = t * v
-            acc = t if acc is None else acc + t
-        if acc is None:
+        terms = self.sorted_terms()
+        if not terms:
             return one * ZERO
-        return acc
+        monos = monomial_values(values, one, [e for e, _ in terms])
+        products = [m * c for m, (_, c) in zip(monos, terms)]
+        return sum(products[1:], products[0])
 
     # -- comparison / display -------------------------------------------------
 
@@ -517,4 +503,28 @@ def monomials_up_to(nvars: int, degree: int):
 
     rec([], degree, nvars)
     out.sort(key=lambda e: (sum(e), e))
+    return out
+
+
+def monomial_values(values, one, exps):
+    """The value of each exponent tuple in exps on a commuting family of
+    scalars or matrices; the empty monomial is `one`.  Each value keeps a
+    table of its powers, filled only on the way to the exponents needed (an
+    odd power is the one below times the value, an even one the square of
+    its half), so consecutive exponents cost one product each and a lone
+    exponent k about 2*log2(k) products and entries, not k."""
+    tables = [{0: one, 1: v} for v in values]
+    out = []
+    for e in exps:
+        acc = one
+        for table, k in zip(tables, e):
+            if k:
+                chain = []
+                while k not in table:
+                    chain.append(k)
+                    k = k - 1 if k & 1 else k >> 1
+                for k in reversed(chain):  # ends at the exponent of e
+                    table[k] = table[k - 1] * table[1] if k & 1 else table[k >> 1] * table[k >> 1]
+                acc = table[k] if acc is one else acc * table[k]
+        out.append(acc)
     return out

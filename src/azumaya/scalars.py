@@ -14,6 +14,7 @@ from math import gcd
 
 Rational = Fraction  # the plain rational type, canonical: gcd(|num|, den) == 1, den > 0
 _new = object.__new__
+_EXACT = (int, Fraction)  # other operands are left to their reflected method (NotImplemented)
 
 
 def _make(a: int, b: int, d: int) -> "GaussianRational":
@@ -75,11 +76,15 @@ class GaussianRational:
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational.coerce(other)
         return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
 
     def __sub__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational.coerce(other)
         return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
 
@@ -94,6 +99,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational.coerce(other)
         a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
         if not e:  # a real operand skips the cross terms
@@ -106,6 +113,8 @@ class GaussianRational:
 
     def __truediv__(self, other):
         if type(other) is not GaussianRational:
+            if not isinstance(other, _EXACT):
+                return NotImplemented
             other = GaussianRational.coerce(other)
         a, b, d, c, e, f = self._a, self._b, self._d, other._a, other._b, other._d
         if e:  # times the conjugate over the norm

@@ -29,14 +29,6 @@ class HomologyClass:
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
         return HomologyClass(self.p + other.p, self.q + other.q)
 
-    def __neg__(self) -> "HomologyClass":
-        return HomologyClass(-self.p, -self.q)
-
-    def __mul__(self, k: int) -> "HomologyClass":
-        return HomologyClass(self.p * k, self.q * k)
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
@@ -184,14 +176,8 @@ class AzCircleMorphism:
 
 def total_class(phi: AzCircleMorphism):
     """(surrogate class, projected homology class) of the morphism."""
-    r = 0
-    p = 0
-    q = 0
-    for c in phi.components:
-        r += c.rank()
-        p += c.wrap.p * c.fiber_rank
-        q += c.wrap.q * c.fiber_rank
-    return SurrogateClass(r, p, q), HomologyClass(p, q)
+    sc = sum((c.surrogate() for c in phi.components), SurrogateClass(0, 0, 0))
+    return sc, sc.projected()
 
 
 def is_special_lagrangian(phi: AzCircleMorphism) -> bool:

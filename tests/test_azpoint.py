@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from azumaya.poly import MultiPoly, UniPoly
 from azumaya.roots import split_roots
 from azumaya.linalg import char_poly
 from azumaya.scalars import gr
-from helpers import rand_invertible, rand_upper_triangular, span_signature
+from helpers import brute_vanishing_at_points, rand_invertible, rand_upper_triangular, span_signature
 
 
 z = UniPoly.x("z")
@@ -39,6 +40,10 @@ def test_rep_check():
     pres = AffinePresentation(("z",), [MultiPoly(("z",), {(2,): 1})])
     assert rep_check(single(J2), pres)
     assert not rep_check(single(Matrix.identity(2)), pres)
+    # a lone exponent k costs about 2*log2(k) products, not k
+    start = time.perf_counter()
+    assert rep_check(single(J2), AffinePresentation(("z",), [MultiPoly(("z",), {(10**6,): 1, (10**6 + 1,): 1})]))
+    assert time.perf_counter() - start < 0.5
     with pytest.raises(ValueError):
         rep_check(single(J2), AffinePresentation(("x", "y"), []))
 
@@ -209,3 +214,17 @@ def _inverse(g: Matrix) -> Matrix:
     from azumaya.linalg import solve_exact
 
     return solve_exact(g, Matrix.identity(g.nrows))
+
+
+@pytest.mark.parametrize(
+    "mats, degree",
+    [((Matrix([[1]]), Matrix([[2]])), 16), ((Matrix.diag([1, 2, 3]), Matrix.diag([0, 1, -1])), 12)],
+    ids=["1x1-D16", "diagonal-3x3-D12"],
+)
+def test_vanishing_ideal_at_high_degree_is_fast_and_matches_the_points(mats, degree):
+    t = RepPoint(("z1", "z2"), mats)
+    start = time.perf_counter()
+    basis = vanishing_ideal(t, degree)
+    assert time.perf_counter() - start < 1.0
+    points = [tuple(m.rows[i][i] for m in mats) for i in range(t.r)]
+    assert basis == brute_vanishing_at_points(points, 2, degree, t.vars)

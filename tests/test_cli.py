@@ -440,3 +440,62 @@ def test_integer_fields_accept_integer_strings_and_integral_floats(field, monkey
     answers = [run_main(command, json.dumps(request(v)), monkeypatch, capsys) for v in (3, "3", " 3 ", 3.0)]
     assert answers[0][0] == 0
     assert answers[1:] == answers[:1] * 3
+
+
+@pytest.mark.parametrize(
+    "command, payload, detail",
+    [
+        (["kahler", "trace"], {"vars": ["x"], "r": 1, "terms": ["a"]}, "form term 0 is not an object: 'a'"),
+        (["torus", "class"], {"tau": "1i", "components": ["x"]}, "component 0 is not an object: 'x'"),
+        (["torus", "validate-profile"], {"tau": "1i", "components": [5], "profile": []},
+         "component 0 is not an object: 5"),
+        (["torus", "amalgamate"], {"phi1": {"tau": "1i", "components": [{"class": [1, 0]}, None]},
+                                   "phi2": {"tau": "1i", "components": []}}, "component 1 is not an object: None"),
+        (["torus", "cancel"], {"phi1": {"tau": "1i", "components": [["x"]]},
+                               "phi2": {"tau": "1i", "components": []}}, "component 0 is not an object: ['x']"),
+    ],
+)
+def test_list_entries_that_are_not_objects_are_malformed_input(command, payload, detail, monkeypatch, capsys):
+    code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
+    assert (code, out) == (2, {"error": "malformed-input", "detail": detail})
+
+
+FUZZ_VALUES = ["x", 5, 2.5, -1, 0, True, None, [], {}, ["a"], [5], [["x"]], {"a": 1}]
+
+
+def _nested_paths(value, path=()):
+    """The path of value and of each value nested in it, the first 3 items of each list."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value[:3]) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _nested_paths(item, path + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of value with the value at path replaced by new."""
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+def test_no_scenario_payload_variant_raises(monkeypatch, capsys):
+    from azumaya.scenarios import SCENARIOS
+
+    failures = []
+    for sc in SCENARIOS:
+        for path in _nested_paths(sc.payload):
+            for new in FUZZ_VALUES:
+                text = json.dumps(_replaced(sc.payload, path, new))
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                try:
+                    code = main([*sc.command, "--input", "-"])
+                except Exception as exc:
+                    code = repr(exc)
+                lines = capsys.readouterr().out.splitlines()
+                if code not in (0, 1, 2) or len(lines) != 1:
+                    failures.append((sc.command, text, code, lines))
+                else:
+                    json.loads(lines[0])
+    assert not failures

@@ -55,6 +55,8 @@ def test_matrix_product_associative_on_samples():
         r = rng.randrange(1, 5)
         a, b, c = (rand_matrix(rng, r) for _ in range(3))
         assert (a * b) * c == a * (b * c)
+        s = rand_scalar(rng)
+        assert s * a == a * s
 
 
 def test_rank_plus_kernel_dimension():
