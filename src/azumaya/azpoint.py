@@ -234,8 +234,13 @@ def _joint_decomposition(t: RepPoint):
         for prefix, basis in spaces:
             mr = _restrict(m, basis)
             for ev, mult in split_roots_of(mr):
+                # the kernel chain ker N, ker N^2, ... reaches the generalized
+                # eigenspace at dimension mult
                 shifted = mr - Matrix.identity(mr.nrows) * ev
-                ker = kernel_basis(shifted**mult)
+                power, ker = shifted, kernel_basis(shifted)
+                while len(ker) < mult:
+                    power = power * shifted
+                    ker = kernel_basis(power)
                 sub = tuple(_combine(basis, kv) for kv in ker)
                 refined.append((prefix + (ev,), sub))
         spaces = refined

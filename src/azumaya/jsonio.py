@@ -429,19 +429,22 @@ def parse_formal_form(obj) -> FormalForm:
     for i, t in enumerate(obj.get("terms", [])):
         if not isinstance(t, dict):
             raise InputError(f"form term {i} is not an object: {t!r:.40}")
-        pre = parse_mpoly_matrix(t["pre"], variables) if "pre" in t else MPolyMatrix.identity(variables, r)
-        factors = []
-        for f in t.get("factors", []):
-            dm = parse_mpoly_matrix(f["dm"], variables)
-            post = (
-                parse_mpoly_matrix(f["post"], variables)
-                if "post" in f
-                else MPolyMatrix.identity(variables, r)
-            )
-            factors.append((dm, post))
+        # the term's matrices are parsed and checked against r before a
+        # missing "pre" or "post" becomes an r x r identity
+        pre = parse_mpoly_matrix(t["pre"], variables) if "pre" in t else None
+        factors = [
+            (parse_mpoly_matrix(f["dm"], variables),
+             parse_mpoly_matrix(f["post"], variables) if "post" in f else None)
+            for f in t.get("factors", [])
+        ]
         if not factors:
             raise InputError("a form term needs at least one differential factor")
-        terms.append(FormTerm(pre, factors))
+        for m in (pre, *(x for pair in factors for x in pair)):
+            if m is not None and (m.nrows, m.ncols) != (r, r):
+                raise InputError(f"r = {r} does not match the {m.nrows}x{m.ncols} matrix of form term {i}")
+        ident = MPolyMatrix.identity(variables, r)
+        terms.append(FormTerm(ident if pre is None else pre,
+                              [(dm, ident if post is None else post) for dm, post in factors]))
         degree = len(factors)
     return build(FormalForm, variables, r, degree, terms)
 

@@ -4,17 +4,21 @@
 Q(i)[z] (the subclass `higgsing.PolyMatrix`) or in Q(i)[z_1..z_n] (the
 subclass `kahler.MPolyMatrix`); the subclasses only coerce their entries
 and add domain methods.  Rank and the characteristic polynomial share one
-one-step Bareiss (fraction-free) elimination, over Q(i) and over Q(i)[x],
-so no rational-function entries ever appear.  Kernels and solves use
-reduced row echelon form over the field.
+one-step Bareiss (fraction-free) elimination, each with its ring's step:
+rank over Q(i), char_poly over Z[i][x] after each row of x*I - m is
+cleared of its denominators, so no rational-function entries ever appear.
+min_poly runs its Krylov chains over Z[i] too, on the matrix cleared of
+its denominators once, with a fraction-free incremental echelon.  Kernels
+and solves use reduced row echelon form over the field.
 """
 
 from __future__ import annotations
 
-from operator import mul, truediv
+from math import gcd
+from operator import mul
 
 from .poly import MultiPoly, UniPoly
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
 
 class Matrix:
@@ -146,19 +150,16 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        out = Matrix.identity(self.nrows)
-        base = self
-        while k:
+        if k == 0:
+            return Matrix.identity(self.nrows)
+        out, base = None, self
+        while True:  # binary powering; no product by the identity, no square past the top bit
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
-
-    def apply_vector(self, v):
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(_dot(r, v) for r in self.rows)
+            if not k:
+                return out
+            base = base * base
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -206,16 +207,18 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 # elimination
 
 
-def _bareiss(a, ncols: int, one, div):
+def _bareiss(a, ncols: int, one, step):
     """One-step Bareiss (fraction-free) elimination of the grid a, in place.
 
-    Column by column, the first nonzero entry p at or below the current
-    row is the pivot, and every entry below and right of it becomes
-    (a[i][j] * p - a[i][c] * a[r][j]) / prev, prev being the pivot before
-    (`one` at the start).  Over an integral domain each division is exact
-    (Cohen, A Course in Computational Algebraic Number Theory, section
-    2.2); `div` performs it.  Entries left of a pivot are not cleared, as
-    nothing reads them again.  Returns the rank.
+    Column by column, the first nonzero (truthy) entry p at or below the
+    current row is the pivot, and every entry x below and right of it
+    becomes step(x, p, f, t, prev) = (x * p - f * t) / prev, with f the
+    entry of x's row in the pivot column, t the entry of the pivot row in
+    x's column and prev the pivot before (`one` at the start).  Over an
+    integral domain each division is exact (Cohen, A Course in
+    Computational Algebraic Number Theory, section 2.2); `step` is the
+    ring's own.  Entries left of a pivot are not cleared, as nothing reads
+    them again.  Returns the rank.
     """
     nr = len(a)
     prev = one
@@ -223,7 +226,7 @@ def _bareiss(a, ncols: int, one, div):
     for c in range(ncols):
         if r == nr:
             break
-        piv = next((i for i in range(r, nr) if not a[i][c].is_zero()), None)
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
@@ -233,15 +236,19 @@ def _bareiss(a, ncols: int, one, div):
             row = a[i]
             f = row[c]
             for j in range(c + 1, ncols):
-                row[j] = div(row[j] * p - f * top[j], prev)
+                row[j] = step(row[j], p, f, top[j], prev)
         prev = p
         r += 1
     return r
 
 
+def _qi_step(x, p, f, t, prev):
+    return (x * p - f * t) / prev
+
+
 def rank(m: Matrix) -> int:
     """Rank by Bareiss elimination over Q(i)."""
-    return _bareiss([list(r) for r in m.rows], m.ncols, ONE, truediv)
+    return _bareiss([list(r) for r in m.rows], m.ncols, ONE, _qi_step)
 
 
 def power_ranks(n: Matrix, floor: int):
@@ -321,63 +328,169 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
 
 
 def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
-    """det(x*I - m), by Bareiss elimination over Q(i)[x].
+    """det(x*I - m), by Bareiss elimination over Z[i][x].
 
-    Every division is an exact polynomial division.  The k-th pivot is
-    the leading principal k x k minor of x*I - m, a monic polynomial of
-    degree k, so no row is ever swapped and the last pivot is the
-    determinant.
+    Row i of x*I - m is first multiplied by d_i, the lcm of the
+    denominators in row i of m, so every entry lies in Z[i][x].  The k-th
+    pivot is then d_1...d_k times the leading principal k x k minor of
+    x*I - m, a monic polynomial of degree k: no row is ever swapped, and
+    the last pivot is d_1...d_n times the determinant, divided out once.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.nrows
     if n == 0:
         return UniPoly.one(var)
-    x = UniPoly.x(var)
-    a = [
-        [
-            (x if i == j else UniPoly.zero(var)) - UniPoly.constant(m.rows[i][j], var)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    _bareiss(a, n, UniPoly.one(var), UniPoly.exact_div)
-    return a[n - 1][n - 1]
+    a = []
+    scale = 1
+    for i, row in enumerate(m.rows):
+        d, pairs = clear_denominators(row)
+        scale *= d
+        a.append([
+            [(-re, -im), (d, 0)] if j == i else [(-re, -im)] if re or im else []
+            for j, (re, im) in enumerate(pairs)
+        ])
+    _bareiss(a, n, [(1, 0)], _zx_step)
+    return UniPoly._new(var, tuple(from_pair(re, im, scale) for re, im in a[n - 1][n - 1]))
 
 
-def _krylov_min_poly(m: Matrix, v, var: str) -> UniPoly:
-    """Monic minimal polynomial of m relative to the vector v.
+# Polynomials over Z[i] for char_poly: lists of (re, im) int pairs, lowest
+# degree first, with no trailing (0, 0); the zero polynomial is [].
 
-    The Krylov vectors v, m v, m^2 v, ... are stacked as columns; at each
-    step one rref of the stack with the next vector appended tells whether
-    that vector depends on the ones before it and, if so, its coefficients.
+
+def _zx_step(x, p, f, t, prev):
+    """(x * p - f * t) / prev over Z[i][x]; prev has a positive integer
+    leading coefficient."""
+    n = max(len(x) + len(p) if x else 1, len(f) + len(t) if f and t else 1) - 1
+    if not n:
+        return []
+    re, im = [0] * n, [0] * n
+    for i, (a, b) in enumerate(x):
+        if b:
+            for k, (c, d) in enumerate(p, i):
+                re[k] += a * c - b * d
+                im[k] += a * d + b * c
+        else:  # a real coefficient skips the cross terms
+            for k, (c, d) in enumerate(p, i):
+                re[k] += a * c
+                im[k] += a * d
+    for i, (a, b) in enumerate(f):  # the same, subtracted
+        if b:
+            for k, (c, d) in enumerate(t, i):
+                re[k] -= a * c - b * d
+                im[k] -= a * d + b * c
+        else:
+            for k, (c, d) in enumerate(t, i):
+                re[k] -= a * c
+                im[k] -= a * d
+    while n and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    return _zx_exact_div(re[:n], im[:n], prev)
+
+
+def _zx_exact_div(re, im, den):
+    """The quotient by den of the polynomial with coefficients re + im*i
+    (two int lists, consumed), for den over Z[i] with a positive integer
+    leading coefficient.  Raises ArithmeticError unless it is exact."""
+    lead, top = den[-1][0], len(den) - 1
+    if not top and lead == 1:
+        return list(zip(re, im))
+    q = [None] * max(len(re) - top, 0)
+    for k in range(len(q) - 1, -1, -1):
+        a, b = re[k + top], im[k + top]
+        if lead != 1:
+            a, ra = divmod(a, lead)
+            b, rb = divmod(b, lead)
+            if ra or rb:
+                raise ArithmeticError("inexact division over Z[i][x]")
+        q[k] = (a, b)
+        for j in range(top):
+            c, d = den[j]
+            re[k + j] -= a * c - b * d
+            im[k + j] -= a * d + b * c
+    if any(re[:top]) or any(im[:top]):
+        raise ArithmeticError("inexact division over Z[i][x]")
+    return q
+
+
+def _krylov_min_poly(a, den: int, i: int, var: str) -> UniPoly:
+    """Monic minimal polynomial of m = a / den relative to the i-th standard
+    basis vector, a being a grid of (re, im) int pairs.
+
+    The Krylov vectors v_k = a^k e_i feed a fraction-free incremental
+    echelon: each new vector is cross-multiplied against the rows kept so
+    far, each kept row carrying its combination of v_0..v_k, and divided by
+    the integer content of row and combination together.  The first vector
+    that reduces to zero gives the relation sum_j c_j v_j = 0, that is the
+    minimal polynomial sum_j (c_j / c_k) x^j of a relative to e_i; for m
+    the coefficient of x^j is divided by den^(k-j) besides.
     """
-    cols = [tuple(v)]
-    for k in range(1, m.nrows + 1):
-        cur = m.apply_vector(cols[-1])
-        ech, pivots = rref(zip(*cols, cur), k + 1)
-        if len(pivots) == k:
-            return UniPoly(var, [-ech[i][k] for i in range(k)] + [ONE])
-        cols.append(cur)
+    n = len(a)
+    kept = []  # (pivot column, reduced vector, combination)
+    v = [(0, 0)] * n
+    v[i] = (1, 0)
+    for k in range(n + 1):
+        w, comb = v, [(0, 0)] * k + [(1, 0)]
+        for c, row, rcomb in kept:
+            fr, fi = w[c]
+            if not (fr or fi):
+                continue
+            w = _zi_cross(w, row, row[c], (fr, fi))
+            comb = _zi_cross(comb, rcomb + [(0, 0)] * (len(comb) - len(rcomb)), row[c], (fr, fi))
+        piv = next((j for j, (x, y) in enumerate(w) if x or y), None)
+        g = gcd(*(x for pair in w for x in pair), *(x for pair in comb for x in pair))
+        if g > 1:
+            w = [(x // g, y // g) for x, y in w]
+            comb = [(x // g, y // g) for x, y in comb]
+        if piv is None:  # c_j / c_k, over c_k times its conjugate
+            cr, ci = comb[k]
+            norm = cr * cr + ci * ci
+            return UniPoly._new(var, tuple(
+                from_pair(x * cr + y * ci, y * cr - x * ci, norm * den ** (k - j))
+                for j, (x, y) in enumerate(comb)
+            ))
+        kept.append((piv, w, comb))
+        v = [_zi_dot(row, v) for row in a]
     raise AssertionError("Krylov chain exceeded matrix size")  # pragma: no cover
+
+
+def _zi_cross(u, r, p, f):
+    """[p * x - f * t for x, t in zip(u, r)] over Z[i]."""
+    (pr, pi), (fr, fi) = p, f
+    if pi or fi:
+        return [(pr * x - pi * y - fr * s + fi * t, pr * y + pi * x - fr * t - fi * s)
+                for (x, y), (s, t) in zip(u, r)]
+    return [(pr * x - fr * s, pr * y - fr * t) for (x, y), (s, t) in zip(u, r)]
+
+
+def _zi_dot(u, v):
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        if c or d:
+            re += a * c - b * d
+            im += a * d + b * c
+    return (re, im)
 
 
 def min_poly(m: Matrix, var: str = "z") -> UniPoly:
     """Monic generator of the vanishing ideal {f : f(m) = 0}.
 
     Computed as the lcm of the Krylov-local minimal polynomials of the
-    standard basis vectors; stops early once the degree reaches the size.
+    standard basis vectors, over den * m with den the lcm of all the
+    denominators of m; stops early once the degree reaches the size.
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.nrows
+    den, pairs = clear_denominators(m.vec())
+    a = [pairs[k:k + n] for k in range(0, n * n, n)]
     out = UniPoly.one(var)
     for i in range(n):
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        out = out.lcm(_krylov_min_poly(m, e, var))
+        local = _krylov_min_poly(a, den, i, var)
+        out = local if not out.degree else out.lcm(local)
         if out.degree == n:
             break
-    return out.monic()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ int pairs; polynomials over them are lists of pairs, lowest degree first.
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import SpectrumNotSplit
 from .poly import UniPoly
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO, clear_denominators
 
 
 def _gi_mul(x, y):
@@ -126,8 +126,7 @@ def _distinct_roots(p: UniPoly):
     d = p.gcd(p.deriv())
     h = p if d.degree == 0 else p.exact_div(d)
     # h with denominators cleared, then g(y) = lc^(n-1) h(y / lc) over Z[i]
-    den = lcm(*(f.denominator for z in h.coeffs for f in (z.re, z.im)))
-    c = [(int(z.re * den), int(z.im * den)) for z in h.coeffs]
+    c = clear_denominators(h.coeffs)[1]
     g, power = [(1, 0)], (1, 0)
     for ck in reversed(c[:-1]):
         g.append(_gi_mul(ck, power))

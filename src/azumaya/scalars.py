@@ -3,14 +3,16 @@
 A :class:`GaussianRational` is three Python ints ``(a, b, d)`` for ``(a + b*i) / d``,
 one common denominator as in FLINT's ``fmpq``, kept canonical (``d > 0``,
 ``gcd(a, b, d) == 1``) by at most one ``math.gcd`` per operation, so identities are
-tested with ``==``.  ``Fraction`` is met only at the edges: the constructor reads it,
+tested with ``==``.  Integer kernels leave the objects through ``clear_denominators``
+(a row of values as one denominator and Gaussian-integer ``(re, im)`` pairs) and come
+back through ``from_pair``.  ``Fraction`` is met only at the edges: the constructor reads it,
 and ``.re``, ``.im``, ``norm()`` and ``sort_key()`` return it.  Values are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction  # the plain rational type, canonical: gcd(|num|, den) == 1, den > 0
 _new = object.__new__
@@ -163,6 +165,20 @@ class GaussianRational:
         return f"gr({self.re!r}, {self.im!r})" if self._b else f"gr({self.re!r})"
 
     __radd__, __rmul__ = __add__, __mul__
+
+
+def clear_denominators(values):
+    """``(den, pairs)`` for a sequence of GaussianRationals: ``den`` the lcm of their
+    denominators and ``pairs`` the ``(re, im)`` int pairs of ``den * value``, in order."""
+    den = lcm(*(x._d for x in values))
+    if den == 1:
+        return 1, [(x._a, x._b) for x in values]
+    return den, [(x._a * (q := den // x._d), x._b * q) for x in values]
+
+
+def from_pair(re: int, im: int, den: int) -> GaussianRational:
+    """``(re + im*i) / den`` for ints with ``den > 0``, made canonical."""
+    return _reduced(re, im, den)
 
 
 def gr(re=0, im=0) -> GaussianRational:

@@ -399,6 +399,20 @@ def test_work_limits_refuse_up_front(command, payload, detail, monkeypatch, caps
     assert (code, out) == (2, {"error": "malformed-input", "detail": detail})
 
 
+@pytest.mark.parametrize("r", [300, 10**6])
+def test_form_rank_is_checked_against_the_term_matrices_first(r, monkeypatch, capsys):
+    # the scenario's 2x2 dm with a large r and no "pre": the r x r identity
+    # used to be built before anything looked at r
+    from azumaya.scenarios import SCENARIOS
+
+    form = dict(next(s for s in SCENARIOS if s.command == ("kahler", "trace")).payload["form"], r=r)
+    start = time.perf_counter()
+    code, out = run_main(["kahler", "trace"], json.dumps({"form": form}), monkeypatch, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, {"error": "malformed-input",
+                               "detail": f"r = {r} does not match the 2x2 matrix of form term 0"})
+
+
 def test_requests_just_inside_the_work_limits_are_answered(monkeypatch, capsys):
     assert math.comb(12 + 2, 2) <= jsonio.MAX_MONOMIALS < math.comb(13 + 2, 2)
     point = {"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]}

@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from azumaya.linalg import (
     Matrix,
+    _zx_exact_div,
     char_poly,
     commutator,
     kernel_basis,
@@ -37,6 +39,18 @@ def test_rank_examples():
     assert rank(Matrix.zeros(3)) == 0
     assert rank(Matrix.identity(5)) == 5
     assert rank(Matrix.jordan_block(0, 3) ** 2) == 1
+
+
+def test_matrix_power_by_squaring():
+    m = rand_matrix(random.Random(3), 3)
+    assert m ** 0 == Matrix.identity(3)
+    assert m ** 1 == m
+    product = Matrix.identity(3)
+    for k in range(1, 8):
+        product = product * m
+        assert m ** k == product
+    with pytest.raises(ValueError):
+        m ** -1
 
 
 def test_kernel_examples():
@@ -148,6 +162,30 @@ def test_ring_det_matches_char_poly_determinant():
         assert det == MultiPoly.constant(variables, expected)
 
 
+def test_zx_exact_division_refuses_an_inexact_quotient():
+    # (2x^2 + 2x) / (2x) = x + 1; polynomials over Z[i] as re and im lists
+    assert _zx_exact_div([0, 2, 2], [0, 0, 0], [(0, 0), (2, 0)]) == [(1, 0), (1, 0)]
+    with pytest.raises(ArithmeticError):  # x / (2x): a quotient coefficient 1/2
+        _zx_exact_div([0, 1], [0, 0], [(0, 0), (2, 0)])
+    with pytest.raises(ArithmeticError):
+        _zx_exact_div([1, 1], [0, 0], [(0, 0), (2, 0)])
+    with pytest.raises(ArithmeticError):  # integral quotient, remainder 1 + i
+        _zx_exact_div([1, 2], [1, 0], [(0, 0), (2, 0)])
+    with pytest.raises(ArithmeticError):  # (1 + x) / (1 + x^2): remainder of degree 1
+        _zx_exact_div([1, 1], [0, 0], [(1, 0), (0, 0), (1, 0)])
+
+
+def test_min_poly_of_a_dense_matrix_of_1000_digit_integers():
+    # generic, so the Krylov route of min_poly and the Bareiss route of
+    # char_poly must agree; the Krylov chain over fractions took about 11 s
+    rng = random.Random(53)
+    m = Matrix([[rng.randrange(-10**1000, 10**1000) for _ in range(8)] for _ in range(8)])
+    start = time.perf_counter()
+    mp = min_poly(m)
+    assert time.perf_counter() - start < 5
+    assert mp == char_poly(m, "z")
+
+
 def test_power_ranks():
     nilpotent = Matrix.jordan_block(0, 3)
     assert power_ranks(nilpotent, 0) == [2, 1]
@@ -166,7 +204,8 @@ def test_power_ranks():
 def _oracle_matrices():
     """Seeded matrices with r <= 6: generic ones, singular products B*C of
     a smaller inner size, derogatory c*I + B*C with inner size <= r - 2,
-    and conjugates of Jordan forms with a repeated block."""
+    conjugates of Jordan forms with a repeated block, and matrices with
+    30-digit numerators whose rows have distinct denominators."""
     rng = random.Random(41)
     pool = SMALL_POOL + [gr(3, -2), gr(Fraction(-2, 3), Fraction(1, 5))]
 
@@ -188,6 +227,22 @@ def _oracle_matrices():
                              for i in range(r)])
             p = rand_invertible(rng, r)
             out.append(p * jordan * solve_exact(p, Matrix.identity(r)))
+    big = random.Random(43)
+
+    def big_entry(den, gaussian):
+        return gr(Fraction(big.randrange(-10**30, 10**30), den * big.randrange(1, 4)),
+                  Fraction(big.randrange(-10**30, 10**30), den * big.randrange(1, 4)) if gaussian else 0)
+
+    def big_rect(dens, k, gaussian):
+        return Matrix([[big_entry(d, gaussian) for _ in range(k)] for d in dens])
+
+    for r in range(2, 6):
+        dens = big.sample(range(2, 10**6), r)  # row i over multiples of dens[i]
+        for gaussian in (False, True):
+            out.append(big_rect(dens, r, gaussian))
+            out.append(big_rect(dens, r - 1, gaussian) * big_rect([1] * (r - 1), r, gaussian))
+            out.append(Matrix.identity(r) * big_entry(7, gaussian)
+                       + big_rect(dens, 1, gaussian) * big_rect([1], r, gaussian))
     return out
 
 
