@@ -341,8 +341,15 @@ def conjugacy(t1: RepPoint, t2: RepPoint, seed: int = 0) -> str:
     intertwiner basis decides exactly.  For larger ranks the determinant is
     evaluated at deterministic pseudo-random exact points; a nonzero value
     certifies conjugacy, while universal vanishing plus a failed
-    certificate search only reports "probably-not-conjugate".
+    certificate search only reports "probably-not-conjugate".  Before
+    either, a pair whose i-th matrices differ in rank or characteristic
+    polynomial, both invariant under conjugation, is "not-conjugate".
     """
+    if t1.r == t2.r and t1.arity == t2.arity and any(
+        rank(m1) != rank(m2) or char_poly(m1) != char_poly(m2)
+        for m1, m2 in zip(t1.matrices, t2.matrices)
+    ):
+        return NOT_CONJUGATE
     kets = intertwiner_space(t1, t2)
     if not kets:
         return NOT_CONJUGATE

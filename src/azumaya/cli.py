@@ -134,9 +134,9 @@ def run_higgsing_solve(payload):
     bhat = payload.get("bhat")
     if bhat is None:
         return out
-    sol = HiggsSolution.combine(problem, [jsonio.parse_scalar(x) for x in bhat])
+    sol = jsonio.build(HiggsSolution.combine, problem, [jsonio.parse_scalar(x) for x in bhat])
     residual = ode_residual(problem, sol.b)
-    bi = sol.b.char_poly_bivariate("v")
+    bi = jsonio.build(sol.b.char_poly_bivariate, "v")
     b0cp = char_poly(sol.b0, "v")
     report = classify_deformation(problem, sol)
     out.update(
@@ -168,7 +168,7 @@ def run_higgsing_solve(payload):
 
 def run_spectral_curve(payload):
     phi = jsonio.parse_poly_matrix(payload["phi"] if "phi" in payload else payload)
-    curve = spectral_curve(phi)
+    curve = jsonio.build(spectral_curve, phi)
     return {"vars": list(curve.vars), "curve": jsonio.terms_json(curve)}
 
 

@@ -2,21 +2,20 @@
 
     lam * dB/dz + [A, B] = 0,     A, B in M_2(C[z]),  lam != 0,
 
-its closed-form fundamental solutions for constant A satisfying the
-solvability constraint (a1-a4)^2 + 4*a2*a3 = 0, the branch classification
-of a solution by the eigenvalues of its degree-0 term, a truncated action
-of the polynomial Weyl algebra, and classical spectral curves
-det(lam - Phi(z)) of polynomial Higgs fields.
+its closed-form solutions for constant A under the solvability constraint
+(a1-a4)^2 + 4*a2*a3 = 0, the branch classification of a solution by the
+eigenvalues of its degree-0 term, a truncated action of the polynomial
+Weyl algebra, and classical spectral curves det(lam - Phi(z)).
 
-Closed forms are derived with the a_i treated as constants; for genuinely
-polynomial a_i they generally fail the ODE (the residual picks up a
-derivative term), which is why `fundamental_solutions` insists on a
-constant coefficient matrix while `ode_residual` stays fully general.
+Every closed form is one gauge transform: N = A - (tr A / 2) I has
+N^2 = ((a1-a4)^2/4 + a2*a3) I = 0, so g = I - (z/lam) N = exp(-(z/lam) N)
+has g^-1 = I + (z/lam) N, and B = g Bhat g^-1 solves the ODE with
+B(0) = Bhat (B_k = g E_k g^-1 for the matrix units E_k), certified by a
+zero `ode_residual`.  For polynomial a_i the same formulas generally fail
+the ODE, so the closed forms insist on a constant A.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import NonConstantA, SolvabilityViolated, SpectrumNotSplit
 from .linalg import Matrix, char_poly, ring_det
@@ -69,11 +68,8 @@ class PolyMatrix(Matrix):
         z0 = GaussianRational.coerce(z0)
         return Matrix([[a(z0) for a in row] for row in self.rows])
 
-    def degree(self) -> int:
-        return max((a.degree for row in self.rows for a in row), default=-1)
-
     def is_constant(self) -> bool:
-        return self.degree() <= 0
+        return all(a.is_constant() for row in self.rows for a in row)
 
     def constant_part(self) -> Matrix:
         return Matrix([[a.constant_term() for a in row] for row in self.rows])
@@ -90,6 +86,8 @@ def spectral_curve(phi: PolyMatrix, eig_var: str = "lambda") -> MultiPoly:
     split spectrum, its eigenvalues are exactly the roots of the curve
     sliced at z0.
     """
+    if phi.var == eig_var:
+        raise ValueError(f"the eigenvalue variable {eig_var!r} is also the matrix variable")
     variables = (phi.var, eig_var)
     zero = MultiPoly.zero(variables)
     v = MultiPoly.variable(variables, eig_var)
@@ -118,27 +116,12 @@ class HiggsProblem:
         self.a = a
         self.lam = lam
 
-    @property
-    def a1(self) -> UniPoly:
-        return self.a.entries[0][0]
-
-    @property
-    def a2(self) -> UniPoly:
-        return self.a.entries[0][1]
-
-    @property
-    def a3(self) -> UniPoly:
-        return self.a.entries[1][0]
-
-    @property
-    def a4(self) -> UniPoly:
-        return self.a.entries[1][1]
-
 
 def solvability_check(p: HiggsProblem) -> bool:
     """Exact identity test of (a1-a4)^2 + 4*a2*a3 = 0."""
-    d = p.a1 - p.a4
-    return (d * d + 4 * (p.a2 * p.a3)).is_zero()
+    (a1, a2), (a3, a4) = p.a.rows
+    d = a1 - a4
+    return (d * d + 4 * (a2 * a3)).is_zero()
 
 
 def ode_residual(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
@@ -148,52 +131,46 @@ def ode_residual(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
     return b.deriv() * p.lam + (p.a * b - b * p.a)
 
 
+def _gauge(a1, a2, a3, a4, lam, var: str):
+    """The grids of g = I - (z/lam) N and g^-1 = I + (z/lam) N, where
+    N = A - (tr A / 2) I; generic in the ring of the a_i."""
+    t = UniPoly.x(var) * (ONE / lam)
+    h, p, q = t * (a1 - a4) * (ONE / 2), t * a2, t * a3
+    return ((1 - h, -p), (-q, 1 + h)), ((1 + h, p), (q, 1 - h))
+
+
 def _formula_solutions(a1, a2, a3, a4, lam, var: str):
-    """The four closed-form solutions, with whatever a_i are passed in.
+    """B_ij = g E_ij g^-1, in the order E11, E12, E21, E22, with whatever
+    a_i are passed in.
 
     Correct solutions only for constant a_i under the solvability
     constraint; exposed separately so the non-constant behavior can be
     probed empirically through ode_residual.
     """
-    z = UniPoly.x(var)
-    z2 = z * z
-    li = ONE / lam
-    li2 = li * li
-    half = GaussianRational(Fraction(1, 2))
-    d = a1 - a4
-    b1 = PolyMatrix(
-        [
-            [1 + z2 * (a2 * a3) * li2, z * a2 * li - z2 * (d * a2) * (half * li2)],
-            [-(z * a3 * li) - z2 * (d * a3) * (half * li2), -(z2 * (a2 * a3) * li2)],
-        ],
-        var,
+    g, ginv = _gauge(a1, a2, a3, a4, lam, var)
+    return tuple(
+        PolyMatrix([[x * y for y in ginv[j]] for x in (g[0][i], g[1][i])], var)
+        for i in range(2)
+        for j in range(2)
     )
-    b2 = PolyMatrix(
-        [
-            [z * a3 * li - z2 * (d * a3) * (half * li2),
-             1 - z * d * li - z2 * (a2 * a3) * li2],
-            [-(z2 * (a3 * a3) * li2),
-             -(z * a3 * li) + z2 * (d * a3) * (half * li2)],
-        ],
-        var,
-    )
-    b3 = PolyMatrix(
-        [
-            [-(z * a2 * li) - z2 * (d * a2) * (half * li2),
-             -(z2 * (a2 * a2) * li2)],
-            [1 + z * d * li - z2 * (a2 * a3) * li2,
-             z * a2 * li + z2 * (d * a2) * (half * li2)],
-        ],
-        var,
-    )
-    b4 = PolyMatrix(
-        [
-            [-(z2 * (a2 * a3) * li2), -(z * a2 * li) + z2 * (d * a2) * (half * li2)],
-            [z * a3 * li + z2 * (d * a3) * (half * li2), 1 + z2 * (a2 * a3) * li2],
-        ],
-        var,
-    )
-    return (b1, b2, b3, b4)
+
+
+def _constant_coefficients(p: HiggsProblem):
+    """(a1, a2, a3, a4) of A, which must be constant and solvable."""
+    if not solvability_check(p):
+        raise SolvabilityViolated("(a1-a4)^2 + 4 a2 a3 != 0")
+    if not p.a.is_constant():
+        raise NonConstantA(
+            "closed-form solutions are certified for constant coefficients only"
+        )
+    return [a.constant_term() for row in p.a.rows for a in row]
+
+
+def _certified(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
+    res = ode_residual(p, b)
+    if not res.is_zero():
+        raise AssertionError(f"closed-form solution failed the ODE: {res!r}")
+    return b
 
 
 def fundamental_solutions(p: HiggsProblem):
@@ -202,44 +179,36 @@ def fundamental_solutions(p: HiggsProblem):
     Requires the solvability constraint and a constant coefficient matrix;
     each returned matrix is asserted to have exactly zero ODE residual.
     """
-    if not solvability_check(p):
-        raise SolvabilityViolated("(a1-a4)^2 + 4 a2 a3 != 0")
-    if not p.a.is_constant():
-        raise NonConstantA(
-            "closed-form solutions are certified for constant coefficients only"
-        )
-    var = p.a.var
-    consts = [p.a.entries[i][j].constant_term() for i in range(2) for j in range(2)]
-    sols = _formula_solutions(*consts, p.lam, var)
-    for b in sols:
-        res = ode_residual(p, b)
-        if not res.is_zero():
-            raise AssertionError(f"closed-form solution failed the ODE: {res!r}")
-    return sols
+    sols = _formula_solutions(*_constant_coefficients(p), p.lam, p.a.var)
+    return tuple(_certified(p, b) for b in sols)
+
+
+def _coordinates(bhat):
+    bhat = tuple(GaussianRational.coerce(x) for x in bhat)
+    if len(bhat) != 4:
+        raise ValueError("bhat must have four coordinates")
+    return bhat
 
 
 class HiggsSolution:
-    """A solution B = sum_i bhat_i * B_i with its degree-0 term."""
+    """A solution B = sum_k bhat_k * B_k = g Bhat g^-1 with its degree-0 term."""
 
     __slots__ = ("bhat", "b", "b0")
 
     def __init__(self, bhat, b: PolyMatrix):
-        self.bhat = tuple(GaussianRational.coerce(x) for x in bhat)
-        if len(self.bhat) != 4:
-            raise ValueError("bhat must have four coordinates")
+        self.bhat = _coordinates(bhat)
         self.b = b
         self.b0 = b.constant_part()
 
     @classmethod
     def combine(cls, p: HiggsProblem, bhat) -> "HiggsSolution":
-        sols = fundamental_solutions(p)
-        bhat = tuple(GaussianRational.coerce(x) for x in bhat)
-        if len(bhat) != 4:
-            raise ValueError("bhat must have four coordinates")
-        b = PolyMatrix.zeros(2, p.a.var)
-        for c, s in zip(bhat, sols):
-            b = b + s * c
-        return cls(bhat, b)
+        """g Bhat g^-1 with Bhat = [[b1, b2], [b3, b4]], the solution with
+        B(0) = Bhat, certified by its ODE residual."""
+        bhat = _coordinates(bhat)
+        var = p.a.var
+        g, ginv = _gauge(*_constant_coefficients(p), p.lam, var)
+        hat = PolyMatrix([bhat[:2], bhat[2:]], var)
+        return cls(bhat, _certified(p, PolyMatrix(g, var) * hat * PolyMatrix(ginv, var)))
 
 
 class BranchReport:
@@ -277,17 +246,11 @@ def _kernel_line(m: PolyMatrix):
     """Canonical polynomial basis of the kernel of a singular 2x2 matrix."""
     (m11, m12), (m21, m22) = m.entries
     if m.is_zero():
-        one = UniPoly.one(m.var)
-        zero = UniPoly.zero(m.var)
+        one, zero = UniPoly.one(m.var), UniPoly.zero(m.var)
         return ((one, zero), (zero, one))
-    if not (m11.is_zero() and m12.is_zero()):
-        v = _poly_vector_canonical(m12, -m11)
-    else:
-        v = _poly_vector_canonical(m22, -m21)
-    for row in m.entries:
-        check = row[0] * v[0] + row[1] * v[1]
-        if not check.is_zero():
-            raise ValueError("matrix kernel is trivial over the function field")
+    v = _poly_vector_canonical(m12, -m11) if m11 or m12 else _poly_vector_canonical(m22, -m21)
+    if any(r1 * v[0] + r2 * v[1] for r1, r2 in m.entries):
+        raise ValueError("matrix kernel is trivial over the function field")
     return (v,)
 
 
@@ -306,20 +269,15 @@ def classify_deformation(p: HiggsProblem, s: HiggsSolution) -> BranchReport:
     roots = split_roots(ideal)  # may raise SpectrumNotSplit
     ident = PolyMatrix.identity(2, s.b.var)
     if len(roots) == 2:
-        (nu_m, _), (nu_p, _) = roots
-        comps = []
-        for nu in (nu_m, nu_p):
-            line = _kernel_line(s.b - ident * nu)
-            comps.append((nu, line))
-        return BranchReport("a", (nu_m, nu_p), ideal, comps, False)
+        nus = (roots[0][0], roots[1][0])
+        comps = [(nu, _kernel_line(s.b - ident * nu)) for nu in nus]
+        return BranchReport("a", nus, ideal, comps, False)
     nu = roots[0][0]
     shifted = s.b - ident * nu
     if shifted.is_zero():
         linear = UniPoly("v", (-nu, ONE))
-        ones = _kernel_line(shifted)
-        return BranchReport("b", (nu, nu), linear, ((nu, ones),), False)
-    sq = shifted * shifted
-    if not sq.is_zero():
+        return BranchReport("b", (nu, nu), linear, ((nu, _kernel_line(shifted)),), False)
+    if not (shifted * shifted).is_zero():
         raise AssertionError("Cayley-Hamilton violated for a 2x2 solution")
     line = _kernel_line(shifted)
     return BranchReport("b", (nu, nu), ideal, ((nu, line),), True)

@@ -31,8 +31,8 @@ class InputError(Exception):
 
 
 def build(cls, *args):
-    """cls(*args) from parsed fields, with a value the type refuses (its
-    ValueError) reported as malformed input."""
+    """cls(*args) from parsed fields, with a value that the type (or
+    function) refuses, by its ValueError, reported as malformed input."""
     try:
         return cls(*args)
     except ValueError as exc:

@@ -204,10 +204,14 @@ def test_conjugacy_probabilistic_path_for_large_rank():
     g = rand_invertible(rng, r)
     conj = g * m * _inverse(g)
     assert conjugacy(single(m), single(conj)) == "conjugate"
-    other = Matrix.diag([0, 0, 0, 0, 1])
-    status = conjugacy(single(Matrix.zeros(5)), single(other))
-    assert status in ("not-conjugate", "probably-not-conjugate")
-    assert status != "conjugate"
+    # rank or char_poly differ, so the answer is certain, at any rank
+    for r in (5, 12):
+        start = time.perf_counter()
+        other = Matrix.diag([0] * (r - 1) + [1])
+        assert conjugacy(single(Matrix.zeros(r)), single(other)) == "not-conjugate"
+        assert time.perf_counter() - start < 0.2
+    same_rank = conjugacy(single(Matrix.diag([1, 1, 1, 1, 2])), single(Matrix.diag([1, 1, 1, 1, 3])))
+    assert same_rank == "not-conjugate"
 
 
 def _inverse(g: Matrix) -> Matrix:

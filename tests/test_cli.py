@@ -320,8 +320,16 @@ def test_integer_field_limit(monkeypatch, capsys):
          "negative exponent"),
         (["weyl-check"], {"N": 0}, "degree cap must be at least 1"),
         (["higgsing", "solve"], {"A": [[[], []], [[], []]], "lambda": 0}, "lam must be nonzero"),
+        (["higgsing", "solve"], {"A": [[[], [1]], [[], []]], "lambda": 1, "bhat": [1, 0, 0]},
+         "bhat must have four coordinates"),
+        (["higgsing", "solve"], {"A": {"var": "v", "entries": [[[], [1]], [[], []]]}, "lambda": 1,
+                                 "bhat": [1, 0, 0, 0]},
+         "the eigenvalue variable 'v' is also the matrix variable"),
+        (["spectral-curve"], {"phi": {"var": "lambda", "entries": [[[0, 1]]]}},
+         "the eigenvalue variable 'lambda' is also the matrix variable"),
     ],
-    ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda"],
+    ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda",
+         "higgs-bhat-length", "higgs-var-v", "curve-var-lambda"],
 )
 def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
     code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)

@@ -29,6 +29,7 @@ z = UniPoly.x("z")
 PARAM = [gr(1), gr(-1), gr(2), gr(-2), gr(Fraction(1, 2)), gr(Fraction(-1, 2))]
 SWEEP = PARAM + [gr(3), gr(-3), gr(Fraction(1, 3)), gr(Fraction(-1, 3))]
 LAMBDAS = [gr(1), gr(2), gr(Fraction(1, 2)), I]
+UNITS = [Matrix([[int(2 * i + j == k) for j in range(2)] for i in range(2)]) for k in range(4)]
 
 
 def solvable_problem(u, c, lam) -> HiggsProblem:
@@ -81,8 +82,10 @@ def test_full_parameter_sweep_residuals_vanish():
         for c in SWEEP:
             for lam in LAMBDAS:
                 p = solvable_problem(u, c, lam)
-                for b in fundamental_solutions(p):
+                # a zero residual and B_k(0) = E_k determine B_k uniquely
+                for k, b in enumerate(fundamental_solutions(p)):
                     assert ode_residual(p, b).is_zero()
+                    assert b.constant_part() == UNITS[k]
 
 
 def test_solution_space_closed_under_linear_combinations():
@@ -97,6 +100,18 @@ def test_solution_space_closed_under_linear_combinations():
         for x, s in zip(bhat, sols):
             b = b + s * x
         assert ode_residual(p, b).is_zero()
+
+
+def test_combine_is_the_sum_of_the_fundamental_solutions():
+    rng = random.Random(12)
+    for _ in range(25):
+        u, c = PARAM[rng.randrange(len(PARAM))], PARAM[rng.randrange(len(PARAM))]
+        p = solvable_problem(u, c, LAMBDAS[rng.randrange(len(LAMBDAS))])
+        bhat = [rand_scalar(rng) for _ in range(4)]
+        b = PolyMatrix.zeros(2)
+        for x, s in zip(bhat, fundamental_solutions(p)):
+            b = b + s * x
+        assert HiggsSolution.combine(p, bhat).b == b
 
 
 def test_nonconstant_coefficients_break_the_closed_forms():
