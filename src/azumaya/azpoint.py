@@ -16,12 +16,12 @@ from .linalg import (
     Matrix,
     char_poly,
     commutator,
+    eigen_chains,
     kernel_basis,
+    kernel_chain,
     min_poly,
-    power_ranks,
     rank,
     ring_det,
-    solve_exact,
 )
 from .poly import MultiPoly, UniPoly, monomial_values, monomials_up_to
 from .roots import split_roots
@@ -153,10 +153,8 @@ def rep_check(t: RepPoint, pres: AffinePresentation | None = None) -> bool:
     if pres is not None and len(pres.vars) != t.arity:
         raise ValueError("arity mismatch between point and presentation")
     mats = t.matrices
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if not commutator(mats[i], mats[j]).is_zero():
-                return False
+    if not _commute(mats):
+        return False
     if pres is not None:
         ident = Matrix.identity(t.r)
         for f in pres.relators:
@@ -198,64 +196,44 @@ def vanishing_ideal(t: RepPoint, degree_bound: int | None = None):
 # support decomposition and pushforward
 
 
-def _basis_matrix(vectors) -> Matrix:
-    return Matrix.from_columns(list(vectors))
+def _commute(mats) -> bool:
+    return all(commutator(a, b).is_zero() for i, a in enumerate(mats) for b in mats[i + 1 :])
 
 
-def _restrict(m: Matrix, basis) -> Matrix:
-    """Matrix of m on an m-invariant subspace, in the given column basis."""
-    b = _basis_matrix(basis)
-    return solve_exact(b, m * b)
-
-
-def _combine(basis, coeff_vec):
-    """Linear combination of basis vectors with the given coefficients."""
-    out = [ZERO] * len(basis[0])
-    for c, v in zip(coeff_vec, basis):
-        if c.is_zero():
-            continue
-        out = [acc + c * x for acc, x in zip(out, v)]
-    return tuple(out)
+def _restrict(local, basis):
+    """The matrices of local on a subspace invariant under each, in its
+    `kernel_basis` basis.  Each basis vector is 1 at its last nonzero entry
+    and the others are 0 there, so those rows of m times the basis are the
+    coordinates of m on the subspace."""
+    b = Matrix.from_columns(basis)
+    last = [max(i for i, x in enumerate(v) if not x.is_zero()) for v in basis]
+    return tuple(Matrix([m.rows[i] for i in last]) * b for m in local)
 
 
 def _joint_decomposition(t: RepPoint):
     """Iterated splitting into joint generalized eigenspaces.
 
-    Returns a list of (point, basis) with basis a tuple of column vectors
-    spanning the corresponding subspace of C^r.  Raises SpectrumNotSplit
-    if any restricted characteristic polynomial fails to split.
+    Returns a list of (point, local) with local the tuple restricted to the
+    corresponding subspace of C^r, in a basis of it.  Raises ValueError if
+    the matrices do not commute, and SpectrumNotSplit if any restricted
+    characteristic polynomial fails to split.
     """
-    full = tuple(
-        tuple(ONE if i == j else ZERO for i in range(t.r)) for j in range(t.r)
-    )
-    spaces = [((), full)]
-    for m in t.matrices:
-        refined = []
-        for prefix, basis in spaces:
-            mr = _restrict(m, basis)
-            for ev, mult in split_roots_of(mr):
-                # the kernel chain ker N, ker N^2, ... reaches the generalized
-                # eigenspace at dimension mult
-                shifted = mr - Matrix.identity(mr.nrows) * ev
-                power, ker = shifted, kernel_basis(shifted)
-                while len(ker) < mult:
-                    power = power * shifted
-                    ker = kernel_basis(power)
-                sub = tuple(_combine(basis, kv) for kv in ker)
-                refined.append((prefix + (ev,), sub))
-        spaces = refined
+    if not _commute(t.matrices):
+        raise ValueError("the matrices of the tuple do not commute")
+    spaces = [((), t.matrices)]
+    for i in range(t.arity):
+        spaces = [
+            (prefix + (ev,), _restrict(local, basis))
+            for prefix, local in spaces
+            for ev, _, basis in eigen_chains(local[i])
+        ]
     spaces.sort(key=lambda s: tuple(x.sort_key() for x in s[0]))
     return spaces
 
 
-def split_roots_of(m: Matrix):
-    return split_roots(char_poly(m, var="z"))
-
-
 def support_length(t: RepPoint) -> SupportLengthData:
     """Joint generalized-eigenspace decomposition of C^r under the tuple."""
-    spaces = _joint_decomposition(t)
-    return SupportLengthData((pt, len(basis)) for pt, basis in spaces)
+    return SupportLengthData((pt, local[0].nrows) for pt, local in _joint_decomposition(t))
 
 
 def pushforward(t: RepPoint) -> PushforwardModule:
@@ -265,15 +243,17 @@ def pushforward(t: RepPoint) -> PushforwardModule:
     to the joint generalized eigenspace when the target is a curve; for
     more variables it is the fixed generic combination sum_i i*(m_i - p_i*I),
     an implementation convention (the filtration is canonical only over a
-    curve).
+    curve).  The rank of N^j is k - dim ker N^j on a space of dimension k.
     """
-    spaces = _joint_decomposition(t)
     out = []
-    for pt, basis in spaces:
-        n = Matrix.zeros(t.r)
-        for i, (m, p_i) in enumerate(zip(t.matrices, pt), start=1):
-            n = n + (m - Matrix.identity(t.r) * p_i) * i
-        out.append((pt, len(basis), power_ranks(_restrict(n, basis), 0)))
+    for pt, local in _joint_decomposition(t):
+        k = local[0].nrows
+        ident = Matrix.identity(k)
+        n = Matrix.zeros(k)
+        for i, (m, p_i) in enumerate(zip(local, pt), start=1):
+            n = n + (m - ident * p_i) * i
+        dims, _ = kernel_chain(n, k)
+        out.append((pt, k, [k - d for d in dims[:-1]]))
     return PushforwardModule(out)
 
 

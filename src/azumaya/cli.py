@@ -134,7 +134,8 @@ def run_higgsing_solve(payload):
     bhat = payload.get("bhat")
     if bhat is None:
         return out
-    sol = jsonio.build(HiggsSolution.combine, problem, [jsonio.parse_scalar(x) for x in bhat])
+    bhat = [jsonio.parse_scalar(x) for x in jsonio.parse_array(bhat, "bhat")]
+    sol = jsonio.build(HiggsSolution.combine, problem, bhat)
     residual = ode_residual(problem, sol.b)
     bi = jsonio.build(sol.b.char_poly_bivariate, "v")
     b0cp = char_poly(sol.b0, "v")
@@ -248,7 +249,7 @@ def run_kahler_pullback(payload):
         f = jsonio.parse_terms(form["function"], phi.target_vars)
         coeffs = classical_d(f)
     else:
-        coeffs = [jsonio.parse_terms(t, phi.target_vars) for t in form]
+        coeffs = [jsonio.parse_terms(t, phi.target_vars) for t in jsonio.parse_array(form, "form")]
     w = pullback_form(phi, coeffs)
     return {
         "formal": jsonio.formal_form_json(w),

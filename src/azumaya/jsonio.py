@@ -39,6 +39,14 @@ def build(cls, *args):
         raise InputError(str(exc)) from exc
 
 
+def parse_array(value, field: str) -> list:
+    """The list of an array field.  Anything else is refused, a string in
+    particular, which would otherwise be read character by character."""
+    if not isinstance(value, list):
+        raise InputError(f"field {field!r} is not an array: {value!r:.40}")
+    return value
+
+
 MAX_LITERAL_DIGITS = 1000
 _INT_LIMIT = 10**MAX_LITERAL_DIGITS
 # Bounds on the work of the two requests that small integer fields make
@@ -187,7 +195,7 @@ def parse_terms(obj, variables) -> MultiPoly:
     for t in obj:
         if not isinstance(t, dict) or "exps" not in t or "coef" not in t:
             raise InputError("each term needs 'exps' and 'coef'")
-        exps = tuple(parse_int(e, "exps") for e in t["exps"])
+        exps = tuple(parse_int(e, "exps") for e in parse_array(t["exps"], "exps"))
         if len(exps) != len(variables):
             raise InputError("exponent arity does not match the variables")
         c = parse_scalar(t["coef"])
@@ -211,8 +219,8 @@ def parse_rep_point(obj) -> RepPoint:
     if not isinstance(obj, dict):
         raise InputError("a representation point is an object")
     try:
-        variables = [str(v) for v in obj["vars"]]
-        mats = [parse_matrix(m) for m in obj["matrices"]]
+        variables = [str(v) for v in parse_array(obj["vars"], "vars")]
+        mats = [parse_matrix(m) for m in parse_array(obj["matrices"], "matrices")]
     except KeyError as exc:
         raise InputError(f"representation point needs {exc}") from exc
     t = build(RepPoint, variables, mats)
@@ -224,8 +232,8 @@ def parse_rep_point(obj) -> RepPoint:
 def parse_presentation(obj) -> AffinePresentation:
     if not isinstance(obj, dict) or "vars" not in obj:
         raise InputError("a presentation is {vars, relators}")
-    variables = tuple(str(v) for v in obj["vars"])
-    relators = [parse_terms(r, variables) for r in obj.get("relators", [])]
+    variables = tuple(str(v) for v in parse_array(obj["vars"], "vars"))
+    relators = [parse_terms(r, variables) for r in parse_array(obj.get("relators", []), "relators")]
     return build(AffinePresentation, variables, relators)
 
 
@@ -236,7 +244,8 @@ def parse_support(obj) -> SupportLengthData:
         raise InputError("support-length data is a list of {point, length}")
     entries = []
     for e in obj:
-        entries.append((tuple(parse_scalar(x) for x in e["point"]), parse_int(e["length"], "length")))
+        entries.append((tuple(parse_scalar(x) for x in parse_array(e["point"], "point")),
+                        parse_int(e["length"], "length")))
     return build(SupportLengthData, entries)
 
 
@@ -265,8 +274,8 @@ def parse_jordan(obj) -> JordanData:
     entries = []
     for e in obj:
         try:
-            pt = tuple(parse_scalar(x) for x in e["point"])
-            parts = tuple(parse_int(x, "partition") for x in e["partition"])
+            pt = tuple(parse_scalar(x) for x in parse_array(e["point"], "point"))
+            parts = tuple(parse_int(x, "partition") for x in parse_array(e["partition"], "partition"))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad Jordan entry {e!r}") from exc
         entries.append((pt, parts))
@@ -289,7 +298,7 @@ def parse_morphism(obj) -> AzCircleMorphism:
         raise InputError("a torus morphism is {tau, components, profile?}")
     geom = build(TorusGeometry, parse_scalar(obj["tau"]))
     comps = []
-    for i, c in enumerate(obj.get("components", [])):
+    for i, c in enumerate(parse_array(obj.get("components", []), "components")):
         if not isinstance(c, dict):
             raise InputError(f"component {i} is not an object: {c!r:.40}")
         cls = c.get("class")
@@ -308,7 +317,7 @@ def parse_morphism(obj) -> AzCircleMorphism:
         )
     profile = None
     if obj.get("profile") is not None:
-        profile = tuple(parse_jordan(j) for j in obj["profile"])
+        profile = tuple(parse_jordan(j) for j in parse_array(obj["profile"], "profile"))
     return AzCircleMorphism(geom, comps, profile)
 
 
@@ -377,7 +386,7 @@ def parse_poly_matrix(obj, var: str = "z") -> PolyMatrix:
     grid = []
     for row in obj:
         new = []
-        for e in row:
+        for e in parse_array(row, "matrix row"):
             if isinstance(e, list):
                 new.append(parse_unipoly(e, var))
             else:
@@ -396,7 +405,7 @@ def poly_matrix_json(b: PolyMatrix):
 
 def parse_mpoly_matrix(obj, variables=None) -> MPolyMatrix:
     if isinstance(obj, dict):
-        variables = tuple(str(v) for v in obj.get("vars", variables or ()))
+        variables = tuple(str(v) for v in parse_array(obj.get("vars", list(variables or ())), "vars"))
         obj = obj.get("entries")
     if variables is None:
         raise InputError("matrix over a polynomial ring needs variables")
@@ -406,7 +415,7 @@ def parse_mpoly_matrix(obj, variables=None) -> MPolyMatrix:
     grid = []
     for row in obj:
         new = []
-        for e in row:
+        for e in parse_array(row, "matrix row"):
             if isinstance(e, list):
                 new.append(parse_terms(e, variables))
             else:
@@ -422,11 +431,11 @@ def mpoly_matrix_json(m: MPolyMatrix):
 def parse_formal_form(obj) -> FormalForm:
     if not isinstance(obj, dict) or "vars" not in obj or "r" not in obj:
         raise InputError("a formal form is {vars, r, terms}")
-    variables = tuple(str(v) for v in obj["vars"])
+    variables = tuple(str(v) for v in parse_array(obj["vars"], "vars"))
     r = parse_int(obj["r"], "r")
     terms = []
     degree = parse_int(obj.get("degree", 1), "degree")
-    for i, t in enumerate(obj.get("terms", [])):
+    for i, t in enumerate(parse_array(obj.get("terms", []), "terms")):
         if not isinstance(t, dict):
             raise InputError(f"form term {i} is not an object: {t!r:.40}")
         # the term's matrices are parsed and checked against r before a
@@ -435,7 +444,7 @@ def parse_formal_form(obj) -> FormalForm:
         factors = [
             (parse_mpoly_matrix(f["dm"], variables),
              parse_mpoly_matrix(f["post"], variables) if "post" in f else None)
-            for f in t.get("factors", [])
+            for f in parse_array(t.get("factors", []), "factors")
         ]
         if not factors:
             raise InputError("a form term needs at least one differential factor")
@@ -481,6 +490,7 @@ def classical_form_json(f: ClassicalForm):
 def parse_affine_morphism(obj) -> MorphismToAffine:
     if not isinstance(obj, dict) or "target_vars" not in obj or "images" not in obj:
         raise InputError("a morphism is {target_vars, source_vars, r?, images}")
-    source_vars = tuple(str(v) for v in obj.get("source_vars", ()))
-    images = [parse_mpoly_matrix(m, source_vars or None) for m in obj["images"]]
-    return build(MorphismToAffine, tuple(str(v) for v in obj["target_vars"]), images)
+    source_vars = tuple(str(v) for v in parse_array(obj.get("source_vars", []), "source_vars"))
+    images = [parse_mpoly_matrix(m, source_vars or None) for m in parse_array(obj["images"], "images")]
+    target_vars = tuple(str(v) for v in parse_array(obj["target_vars"], "target_vars"))
+    return build(MorphismToAffine, target_vars, images)

@@ -18,6 +18,7 @@ from math import gcd
 from operator import mul
 
 from .poly import MultiPoly, UniPoly
+from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
 
@@ -251,22 +252,37 @@ def rank(m: Matrix) -> int:
     return _bareiss([list(r) for r in m.rows], m.ncols, ONE, _qi_step)
 
 
-def power_ranks(n: Matrix, floor: int):
-    """Ranks of n, n^2, n^3, ... while they stay above floor.
+def kernel_chain(n: Matrix, dim: int):
+    """Dimensions of ker n, ker n^2, ... up to dim, and the `kernel_basis`
+    of the last.
 
-    The ranks of the powers fall until they settle; floor must be the rank
-    they settle at.  The first power of rank floor ends the list and is
-    not in it.
+    The kernels of the powers grow until they settle; dim must be the
+    dimension they settle at (the multiplicity of the eigenvalue 0), and the
+    list ends with the first power whose kernel reaches it.  Raises
+    ArithmeticError if the kernels settle below dim.
     """
-    ranks = []
-    power, cur = n, rank(n)
-    while cur > floor:
-        if ranks and cur == ranks[-1]:
-            raise ArithmeticError(f"the ranks of the powers settle at {cur}, above {floor}")
-        ranks.append(cur)
-        power = power * n
-        cur = rank(power)
-    return ranks
+    ker = kernel_basis(n)
+    dims = [len(ker)]
+    while dims[-1] < dim:
+        # ker n^(j+1) = {v : n v in ker n^j}, the kernel of [K | n] for K a
+        # basis of ker n^j, read without K's coordinates; the columns of K
+        # all hold pivots, so the basis read off is kernel_basis(n^(j+1))
+        k = len(ker)
+        aug = Matrix([tuple(v[a] for v in ker) + row for a, row in enumerate(n.rows)])
+        ker = tuple(v[k:] for v in kernel_basis(aug))
+        if len(ker) == dims[-1]:
+            raise ArithmeticError(f"the kernels of the powers settle at dimension {len(ker)}, below {dim}")
+        dims.append(len(ker))
+    return dims, ker
+
+
+def eigen_chains(m: Matrix):
+    """(ev, dims, basis) for each root ev of char_poly(m), with dims and
+    basis the `kernel_chain` of m - ev up to its multiplicity: basis spans
+    the generalized eigenspace.  Raises SpectrumNotSplit if char_poly(m)
+    does not split over Q(i)."""
+    ident = Matrix.identity(m.nrows)
+    return [(ev, *kernel_chain(m - ident * ev, mult)) for ev, mult in split_roots(char_poly(m, var="z"))]
 
 
 def rref(rows, ncols: int):
@@ -293,7 +309,8 @@ def rref(rows, ncols: int):
 
 
 def kernel_basis(m: Matrix):
-    """Canonical exact basis of the right null space (possibly empty)."""
+    """Canonical exact basis of the right null space (possibly empty): one
+    vector per free column, 1 there, 0 at the other free columns and after."""
     a, pivots = rref(m.rows, m.ncols)
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]

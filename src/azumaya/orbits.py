@@ -11,8 +11,7 @@ sum_i max(lambda_i - j, 0).
 from __future__ import annotations
 
 from .azpoint import RepPoint, SupportLengthData
-from .linalg import Matrix, char_poly, power_ranks
-from .roots import split_roots
+from .linalg import Matrix, eigen_chains
 from .scalars import GaussianRational
 
 
@@ -90,11 +89,11 @@ OrbitLabel = JordanData
 
 
 def jordan_data(t: RepPoint) -> JordanData:
-    """Jordan data of a single-matrix point, from global rank sequences.
+    """Jordan data of a single-matrix point, from its kernel chains.
 
-    For an eigenvalue with multiplicity mu the number of blocks of size
-    >= j is rank((m-ev)^(j-1)) - rank((m-ev)^j); the invertible part of
-    m-ev contributes equally to both terms and drops out.
+    For an eigenvalue ev the number of blocks of size >= j is
+    d_j - d_(j-1), with d_j = dim ker (m-ev)^j and d_0 = 0, so the
+    partition is the conjugate of these steps.
     """
     if t.arity != 1:
         raise ValueError("Jordan data is defined for single-matrix points")
@@ -102,18 +101,10 @@ def jordan_data(t: RepPoint) -> JordanData:
 
 
 def jordan_data_of_matrix(m: Matrix) -> JordanData:
-    roots = split_roots(char_poly(m, var="z"))
-    r = m.nrows
     entries = []
-    for ev, mult in roots:
-        ranks = [r] + power_ranks(m - Matrix.identity(r) * ev, r - mult) + [r - mult]
-        # sizes[j - 1] is the number of blocks of size >= j
-        sizes = [a - b for a, b in zip(ranks, ranks[1:])]
-        parts = []
-        for size in range(len(sizes), 0, -1):
-            count = sizes[size - 1] - (sizes[size] if size < len(sizes) else 0)
-            parts.extend([size] * count)
-        entries.append(((ev,), parts))
+    for ev, dims, _ in eigen_chains(m):
+        steps = [b - a for a, b in zip([0] + dims, dims)]
+        entries.append(((ev,), [sum(s >= k for s in steps) for k in range(1, steps[0] + 1)]))
     return JordanData(entries)
 
 

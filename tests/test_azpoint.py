@@ -1,11 +1,15 @@
+import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from azumaya.azpoint import (
     AffinePresentation,
+    PushforwardModule,
     RepPoint,
+    SupportLengthData,
     conjugacy,
     hilbert_chow,
     image_ideal_univar,
@@ -22,7 +26,13 @@ from azumaya.poly import MultiPoly, UniPoly
 from azumaya.roots import split_roots
 from azumaya.linalg import char_poly
 from azumaya.scalars import gr
-from helpers import brute_vanishing_at_points, rand_invertible, rand_upper_triangular, span_signature
+from helpers import (
+    brute_vanishing_at_points,
+    jordan_nilpotent,
+    rand_invertible,
+    rand_upper_triangular,
+    span_signature,
+)
 
 
 z = UniPoly.x("z")
@@ -132,6 +142,63 @@ def test_pushforward_examples():
     bd = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     pf = pushforward(single(bd))
     assert pf.entries == (((gr(0),), 3, (1,)),)
+
+
+def _jordan_block_tuple(blocks, arity):
+    """The tuple diag(p_1 + c_1*J, p_2 + c_2*J, ...) over blocks, one per
+    entry (point p, coefficients c, partition of the nilpotent J)."""
+    r = sum(sum(parts) for _, _, parts in blocks)
+    mats = []
+    for i in range(arity):
+        rows = [[gr(0)] * r for _ in range(r)]
+        base = 0
+        for pt, coeffs, parts in blocks:
+            nil = jordan_nilpotent(parts)
+            for a in range(nil.nrows):
+                rows[base + a][base + a] = pt[i]
+                for b in range(nil.ncols):
+                    if not nil.rows[a][b].is_zero():
+                        rows[base + a][base + b] = coeffs[i]
+            base += nil.nrows
+        mats.append(Matrix(rows))
+    return mats
+
+
+def test_pushforward_of_conjugated_jordan_blocks_matches_partition_arithmetic():
+    # on the block at p, N = sum_i i*(m_i - p_i) = (sum_i i*c_i) * J, so its
+    # ranks are those of a nilpotent Jordan matrix of the block's partition,
+    # sum_k max(part_k - j, 0) for j = 1 .. largest part - 1, or none when
+    # the coefficients cancel (c_2 = -1/2 at arity 2)
+    rng = random.Random(29)
+    coords = [gr(0), gr(1), gr(-1, 2), gr(0, 1)]
+    scales = [gr(1), gr(2), gr(-1), gr(1, 1), gr(Fraction(-1, 2))]
+    for arity in (1, 2, 3):
+        for _ in range(6):
+            points = rng.sample(list(itertools.product(coords, repeat=arity)), rng.randint(1, 3))
+            blocks = []
+            for pt in points:
+                parts = sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 2))), reverse=True)
+                blocks.append((pt, (gr(1),) + tuple(rng.choice(scales) for _ in range(arity - 1)), parts))
+            while sum(sum(parts) for _, _, parts in blocks) > 8:
+                blocks.pop()
+            mats = _jordan_block_tuple(blocks, arity)
+            g = rand_invertible(rng, mats[0].nrows)
+            ginv = _inverse(g)
+            t = RepPoint(tuple("xyw"[:arity]), [g * m * ginv for m in mats])
+            want = []
+            for pt, coeffs, parts in blocks:
+                cancel = sum((c * i for i, c in enumerate(coeffs, start=1)), gr(0)).is_zero()
+                ranks = () if cancel else [sum(max(x - j, 0) for x in parts) for j in range(1, parts[0])]
+                want.append((pt, sum(parts), ranks))
+            assert pushforward(t) == PushforwardModule(want)
+            assert support_length(t) == SupportLengthData((pt, ln) for pt, ln, _ in want)
+
+
+def test_support_and_pushforward_refuse_a_tuple_that_does_not_commute():
+    with pytest.raises(ValueError, match="the matrices of the tuple do not commute"):
+        support_length(RepPoint(("x", "y"), (J2, Matrix.diag([1, 2]))))
+    with pytest.raises(ValueError, match="the matrices of the tuple do not commute"):
+        pushforward(RepPoint(("x", "y"), (J2, J2.transpose())))
 
 
 def test_higgsing_morita_consistency():

@@ -327,9 +327,28 @@ def test_integer_field_limit(monkeypatch, capsys):
          "the eigenvalue variable 'v' is also the matrix variable"),
         (["spectral-curve"], {"phi": {"var": "lambda", "entries": [[[0, 1]]]}},
          "the eigenvalue variable 'lambda' is also the matrix variable"),
+        # a string where an array belongs is refused, not read character by character
+        (["higgsing", "solve"], {"A": [[[], [1]], [[], []]], "lambda": 1, "bhat": "1234"},
+         "field 'bhat' is not an array: '1234'"),
+        (["image"], {"vars": "xy", "matrices": [[[0, 1], [0, 0]], [[1, 0], [0, 1]]]},
+         "field 'vars' is not an array: 'xy'"),
+        (["rep-check"], {"point": {"vars": ["z"], "matrices": [[[1]]]},
+                         "presentation": {"vars": ["z"], "relators": [[{"exps": "2", "coef": 1}]]}},
+         "field 'exps' is not an array: '2'"),
+        (["orbit-compare"], {"j1": [{"point": "0", "partition": [1]}], "j2": [{"point": [0], "partition": [1]}]},
+         "field 'point' is not an array: '0'"),
+        (["orbit-compare"], {"j1": [{"point": [0], "partition": "11"}], "j2": [{"point": [0], "partition": [2]}]},
+         "field 'partition' is not an array: '11'"),
+        (["kahler", "pullback"], {"phi": {"target_vars": "ab", "source_vars": ["x"],
+                                          "images": [[[[{"exps": [1], "coef": 1}]]], [[[{"exps": [0], "coef": 2}]]]]},
+                                  "form": [[{"exps": [1, 0], "coef": 1}], []]},
+         "field 'target_vars' is not an array: 'ab'"),
+        (["spectral-curve"], {"phi": ["1"]}, "field 'matrix row' is not an array: '1'"),
     ],
     ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda",
-         "higgs-bhat-length", "higgs-var-v", "curve-var-lambda"],
+         "higgs-bhat-length", "higgs-var-v", "curve-var-lambda", "higgs-bhat-string", "image-vars-string",
+         "relator-exps-string", "orbit-point-string", "orbit-partition-string", "pullback-target-vars-string",
+         "curve-row-string"],
 )
 def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
     code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
@@ -341,6 +360,12 @@ def test_errors_while_computing_stay_domain_errors(monkeypatch, capsys):
                "phi2": {"components": [{"class": [0, 1]}], "tau": "0+2i"}}
     code, out = run_main(["torus", "amalgamate"], json.dumps(payload), monkeypatch, capsys)
     assert (code, out["error"]) == (1, "domain-error")
+
+
+def test_pushforward_of_a_tuple_that_does_not_commute_is_a_domain_error(monkeypatch, capsys):
+    payload = {"point": {"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]}}
+    code, out = run_main(["pushforward"], json.dumps(payload), monkeypatch, capsys)
+    assert (code, out) == (1, {"error": "domain-error", "detail": "the matrices of the tuple do not commute"})
 
 
 def _accepted_commands(parser, prefix=()):

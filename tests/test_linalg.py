@@ -10,8 +10,8 @@ from azumaya.linalg import (
     char_poly,
     commutator,
     kernel_basis,
+    kernel_chain,
     min_poly,
-    power_ranks,
     rank,
     ring_det,
     solve_exact,
@@ -186,14 +186,18 @@ def test_min_poly_of_a_dense_matrix_of_1000_digit_integers():
     assert mp == char_poly(m, "z")
 
 
-def test_power_ranks():
-    nilpotent = Matrix.jordan_block(0, 3)
-    assert power_ranks(nilpotent, 0) == [2, 1]
-    assert power_ranks(Matrix.zeros(2), 0) == []
-    # eigenvalue 0 of multiplicity 2 in a 3x3 matrix: the ranks settle at 1
-    assert power_ranks(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 5]]), 1) == [2]
-    with pytest.raises(ArithmeticError):
-        power_ranks(Matrix.identity(2), 0)
+def test_kernel_chain():
+    e1, e2, e3 = Matrix.identity(3).rows
+    assert kernel_chain(Matrix.jordan_block(0, 3), 3) == ([1, 2, 3], (e1, e2, e3))
+    assert kernel_chain(Matrix.zeros(2), 2) == ([2], Matrix.identity(2).rows)
+    # eigenvalue 0 of multiplicity 2 in a 3x3 matrix: the kernels settle at 2
+    assert kernel_chain(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 5]]), 2) == ([1, 2], (e1, e2))
+    with pytest.raises(ArithmeticError, match="settle at dimension 0, below 2"):
+        kernel_chain(Matrix.identity(2), 2)
+    # the same matrix in another basis: the basis is kernel_basis of the last power
+    g = Matrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    m = g * Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 5]]) * solve_exact(g, Matrix.identity(3))
+    assert kernel_chain(m, 2) == ([1, 2], kernel_basis(m * m))
 
 
 # ---------------------------------------------------------------------------

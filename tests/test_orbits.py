@@ -48,9 +48,11 @@ def test_jordan_data_invariant_under_conjugation():
 
 
 def test_pushforward_filtration_matches_jordan_data():
-    # pushforward ranks the powers of the local action on each generalized
-    # eigenspace, jordan_data the powers of m - ev on the whole space; both
-    # go through linalg.power_ranks and must give the same filtration
+    # pushforward reads its ranks off the kernel chain of the local action
+    # on each generalized eigenspace, jordan_data its partitions off the
+    # kernel chain of m - ev on the whole space; both chains come from
+    # linalg.kernel_chain, so this checks the two readings against each
+    # other (the independent check is in test_azpoint.py)
     rng = random.Random(11)
     eigen = [gr(0), gr(1), gr(-1, 2), gr(0, 1)]
     for r in range(1, 7):
