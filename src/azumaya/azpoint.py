@@ -180,7 +180,11 @@ def vanishing_ideal(t: RepPoint, degree_bound: int | None = None):
     canonical monomial order.  D defaults to the module rank.  They are the
     `kernel_basis` over the monomials in reverse order, read backwards: each
     is 1 at its free column, 0 at the others, else nonzero only higher up.
+    Raises ValueError if the matrices do not commute: the value of a
+    monomial would then depend on the order of its factors.
     """
+    if not _commute(t.matrices):
+        raise ValueError("the matrices of the tuple do not commute")
     d = t.r if degree_bound is None else int(degree_bound)
     if d < 0:
         raise ValueError("degree bound must be nonnegative")

@@ -1,24 +1,38 @@
 """Complete linear factorization of univariate polynomials over Q(i).
 
 Modular method (Loos, SIAM J. Comput. 12(2), 1983; von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 14-15).  The squarefree part h of
-p, cleared to Z[i] and made monic as g(y) = lc^(n-1) h(y/lc), has the roots
-y = lc*x for the roots x of p in Q(i).  They are found mod the first prime
-q = 3 (mod 4) with g squarefree mod q, in F_{q^2} = Z[i]/(q), by
-Cantor-Zassenhaus; Newton-lifted past twice a Cauchy bound; and kept if g
-vanishes on them exactly.  Each is a simple root mod q and lifts uniquely,
-so none is missed: a factor of p left after deflating by every root has no
-root in Q(i), and SpectrumNotSplit names it.  Gaussian integers are (a, b)
-int pairs; polynomials over them are lists of pairs, lowest degree first.
+Gerhard, *Modern Computer Algebra*, ch. 6 and 14-15).  p, cleared to Z[i]
+and made monic as g(y) = lc^(n-1) p(y/lc), has the roots y = lc*x for the
+roots x of p in Q(i).  If g is squarefree mod one of the first few primes
+q = 3 (mod 4), so is p (g is monic, so a repeated root stays repeated mod
+q), and that q is kept.  Only otherwise is p replaced by its squarefree
+part h = p / gcd(p, p') over Q(i), and g rebuilt from h; this is always the
+route when p has a repeated root.  The roots of g mod the first prime
+q = 3 (mod 4) with g squarefree mod q lie in F_{q^2} = Z[i]/(q).  While
+q^2 is small they are found by evaluating g at every residue, beyond that
+by Cantor-Zassenhaus, whose cost grows with log q rather than q^2.  Each
+is Newton-lifted past twice a Cauchy bound and kept if g vanishes on it
+exactly.  Each is a simple root mod q and lifts uniquely, so none is
+missed: a factor of p left after deflating by every root has no root in
+Q(i), and SpectrumNotSplit names it.  Gaussian integers are (a, b) int
+pairs; polynomials over them are lists of pairs, lowest degree first.
 """
 
 from __future__ import annotations
 
+from itertools import islice, product
 from math import isqrt
 
 from .errors import SpectrumNotSplit
 from .poly import UniPoly
 from .scalars import GaussianRational, ZERO, clear_denominators
+
+# a monic g squarefree mod one of this many first primes q = 3 (mod 4)
+# proves p squarefree, and the gcd over Q(i) is skipped
+_SQUAREFREE_TRIES = 4
+# for q^2 up to this, the roots mod q are found by evaluating g at every
+# residue of F_{q^2} rather than by Cantor-Zassenhaus
+_ENUMERATE_MAX = 128
 
 
 def _gi_mul(x, y):
@@ -121,29 +135,54 @@ def _lift(g, dg, r, q, bound):
     return tuple(c - m if c > m // 2 else c for c in r)
 
 
-def _distinct_roots(p: UniPoly):
-    """The distinct roots in Q(i) of p, of degree >= 2 with p(0) != 0."""
-    d = p.gcd(p.deriv())
-    h = p if d.degree == 0 else p.exact_div(d)
-    # h with denominators cleared, then g(y) = lc^(n-1) h(y / lc) over Z[i]
+def _primes_3_mod_4():
+    q = 3
+    while True:
+        if all(q % t for t in range(3, isqrt(q) + 1, 2)):
+            yield q
+        q += 4
+
+
+def _monic(h: UniPoly):
+    """h cleared to Z[i] and made monic, g(y) = lc^(n-1) h(y / lc); returns
+    g, g' and lc, the leading coefficient of the cleared h."""
     c = clear_denominators(h.coeffs)[1]
     g, power = [(1, 0)], (1, 0)
     for ck in reversed(c[:-1]):
         g.append(_gi_mul(ck, power))
         power = _gi_mul(power, c[-1])
     g.reverse()
-    dg = [(k * a, k * b) for k, (a, b) in enumerate(g)][1:]
-    q = 3  # the first prime q = 3 (mod 4) with gcd(g, g') = 1 over F_{q^2}
-    while not all(q % t for t in range(3, isqrt(q) + 1, 2)) or len(
-            _gcd(_reduce(g, q), _reduce(dg, q), q)) > 1:
-        q += 4
-    gq, x = _reduce(g, q), [(0, 0), (1, 0)]
+    return g, [(k * a, k * b) for k, (a, b) in enumerate(g)][1:], c[-1]
+
+
+def _squarefree_mod(g, dg, q):
+    return len(_gcd(_reduce(g, q), _reduce(dg, q), q)) == 1
+
+
+def _distinct_roots(p: UniPoly):
+    """The distinct roots in Q(i) of p, of degree >= 2 with p(0) != 0."""
+    g, dg, lc = _monic(p)
+    primes = _primes_3_mod_4()
+    q = next((q for q in islice(primes, _SQUAREFREE_TRIES) if _squarefree_mod(g, dg, q)), None)
+    if q is None:
+        d = p.gcd(p.deriv())
+        if d.degree > 0:
+            g, dg, lc = _monic(p.exact_div(d))
+            primes = _primes_3_mod_4()
+        # else g is unchanged and the primes already tried fail again
+        q = next(q for q in primes if _squarefree_mod(g, dg, q))
+    gq = _reduce(g, q)
+    if q * q <= _ENUMERATE_MAX:
+        mod_q = [r for r in product(range(q), repeat=2) if _eval(gq, r, q) == (0, 0)]
+    else:
+        x = [(0, 0), (1, 0)]
+        mod_q = _split(_gcd(gq, _sub(_powmod(x, q * q, gq, q), x, q), q), q)
     bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
     out = []
-    for r in _split(_gcd(gq, _sub(_powmod(x, q * q, gq, q), x, q), q), q):
+    for r in mod_q:
         y = _lift(g, dg, r, q, bound)
         if _eval(g, y) == (0, 0):
-            out.append(GaussianRational(*y) / GaussianRational(*c[-1]))
+            out.append(GaussianRational(*y) / GaussianRational(*lc))
     return out
 
 

@@ -201,6 +201,13 @@ def test_support_and_pushforward_refuse_a_tuple_that_does_not_commute():
         pushforward(RepPoint(("x", "y"), (J2, J2.transpose())))
 
 
+def test_vanishing_ideal_refuses_a_tuple_that_does_not_commute():
+    # xy and yx take the values E11 and E22 here, so no kernel of the
+    # evaluation map is well defined
+    with pytest.raises(ValueError, match="the matrices of the tuple do not commute"):
+        vanishing_ideal(RepPoint(("x", "y"), (J2, J2.transpose())), 2)
+
+
 def test_higgsing_morita_consistency():
     # distinct eigenvalues: two reduced points; merged: one fat point
     a, b = gr(2), gr(5)

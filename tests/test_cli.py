@@ -368,6 +368,12 @@ def test_pushforward_of_a_tuple_that_does_not_commute_is_a_domain_error(monkeypa
     assert (code, out) == (1, {"error": "domain-error", "detail": "the matrices of the tuple do not commute"})
 
 
+def test_image_of_a_tuple_that_does_not_commute_is_a_domain_error(monkeypatch, capsys):
+    payload = {"vars": ["x", "y"], "matrices": [[[0, 1], [0, 0]], [[0, 0], [1, 0]]], "degree_bound": 2}
+    code, out = run_main(["image"], json.dumps(payload), monkeypatch, capsys)
+    assert (code, out) == (1, {"error": "domain-error", "detail": "the matrices of the tuple do not commute"})
+
+
 def _accepted_commands(parser, prefix=()):
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subparsers:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from azumaya import roots as roots_module
 from azumaya.cli import main
 from azumaya.errors import SpectrumNotSplit
 from azumaya.linalg import Matrix, char_poly
@@ -120,6 +121,91 @@ def test_prime_skipping():
         if all(q % t for t in range(3, int(q**0.5) + 1, 2)):
             big *= q
     assert split_roots((z - I) * (z - I - big)) == ((gr(0, 1), 1), (gr(big, 1), 1))
+
+
+def _count_gcd_calls(monkeypatch):
+    calls = []
+    gcd = UniPoly.gcd
+    monkeypatch.setattr(UniPoly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    return calls
+
+
+def _answer(p):
+    try:
+        return split_roots(p)
+    except SpectrumNotSplit as err:
+        return str(err)
+
+
+def test_squarefree_input_skips_the_gcd_over_q_i(monkeypatch):
+    # block triangular with entries in [-9, 9]: a dense 20 x 20 block, whose
+    # characteristic polynomial is irreducible, and ten distinct eigenvalues
+    # on the diagonal below it; its characteristic polynomial is squarefree
+    # mod 19, so the ten roots are found and deflated with no gcd over Q(i)
+    rng = random.Random(2)
+    n, k = 30, 10
+    diag = rng.sample(range(-9, 10), k)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for i in range(n - k, n):
+        rows[i][:i] = [0] * i
+        rows[i][i] = diag[i - (n - k)]
+    p = char_poly(Matrix(rows), "z")
+    calls = _count_gcd_calls(monkeypatch)
+    start = time.perf_counter()
+    got = _answer(p)
+    assert time.perf_counter() - start < 0.5
+    assert calls == []
+    assert got.startswith("no linear factorization over Q(i): ")
+    # the route through the gcd over Q(i), taken when no prime is tried
+    monkeypatch.setattr(roots_module, "_SQUAREFREE_TRIES", 0)
+    assert _answer(p) == got
+    assert len(calls) == 1
+
+
+def test_a_repeated_root_takes_the_gcd_over_q_i(monkeypatch):
+    roots = [gr(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    roots += [gr(Fraction(1, 2), Fraction(k, 3)) for k in range(-2, 3)]
+    want = {r: 1 for r in roots}
+    want[roots[7]] = 2
+    p = UniPoly.constant(gr(3, -1), "z")
+    for r, m in want.items():
+        p = p * (z - r) ** m
+    assert p.degree == 31
+    calls = _count_gcd_calls(monkeypatch)
+    assert split_roots(p) == tuple(sorted(want.items(), key=lambda kv: kv[0].sort_key()))
+    assert len(calls) == 1
+
+
+def test_roots_mod_a_small_prime_are_enumerated(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Cantor-Zassenhaus is not needed for q = 3")
+
+    # the residues of 1, i, -1 and 1 +- sqrt(2) in F_9 are distinct
+    split = (z - 1) * (z - I) * (z + 1)
+    p = split * (z**2 - 2 * z - 1)
+    g, dg, _ = roots_module._monic(p)
+    assert roots_module._squarefree_mod(g, dg, 3)
+    monkeypatch.setattr(roots_module, "_split", refuse)
+    monkeypatch.setattr(roots_module, "_powmod", refuse)
+    assert split_roots(split) == ((gr(-1), 1), (gr(0, 1), 1), (gr(1), 1))
+    with pytest.raises(SpectrumNotSplit) as err:
+        split_roots(p)
+    assert str(err.value) == f"no linear factorization over Q(i): {z**2 - 2 * z - 1}"
+
+
+def test_roots_mod_a_large_prime_use_cantor_zassenhaus(monkeypatch):
+    # the q = 2003 case of test_prime_skipping
+    big = 1
+    for q in range(3, 2000, 4):
+        if all(q % t for t in range(3, int(q**0.5) + 1, 2)):
+            big *= q
+    calls = []
+    split = roots_module._split
+    monkeypatch.setattr(roots_module, "_split", lambda f, q: calls.append(q) or split(f, q))
+    start = time.perf_counter()
+    assert split_roots((z - I) * (z - I - big)) == ((gr(0, 1), 1), (gr(big, 1), 1))
+    assert time.perf_counter() - start < 1.0
+    assert calls[0] == 2003
 
 
 @pytest.mark.parametrize(
