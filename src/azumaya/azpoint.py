@@ -12,17 +12,7 @@ from __future__ import annotations
 import random
 
 from .errors import SpectrumNotSplit
-from .linalg import (
-    Matrix,
-    char_poly,
-    commutator,
-    eigen_chains,
-    kernel_basis,
-    kernel_chain,
-    min_poly,
-    rank,
-    ring_det,
-)
+from .linalg import Matrix, _dot, char_poly, commute, eigen_chains, kernel_basis, min_poly, rank, ring_det
 from .poly import MultiPoly, UniPoly, monomial_values, monomials_up_to
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO
@@ -153,7 +143,7 @@ def rep_check(t: RepPoint, pres: AffinePresentation | None = None) -> bool:
     if pres is not None and len(pres.vars) != t.arity:
         raise ValueError("arity mismatch between point and presentation")
     mats = t.matrices
-    if not _commute(mats):
+    if not commute(mats):
         return False
     if pres is not None:
         ident = Matrix.identity(t.r)
@@ -183,7 +173,7 @@ def vanishing_ideal(t: RepPoint, degree_bound: int | None = None):
     Raises ValueError if the matrices do not commute: the value of a
     monomial would then depend on the order of its factors.
     """
-    if not _commute(t.matrices):
+    if not commute(t.matrices):
         raise ValueError("the matrices of the tuple do not commute")
     d = t.r if degree_bound is None else int(degree_bound)
     if d < 0:
@@ -200,10 +190,6 @@ def vanishing_ideal(t: RepPoint, degree_bound: int | None = None):
 # support decomposition and pushforward
 
 
-def _commute(mats) -> bool:
-    return all(commutator(a, b).is_zero() for i, a in enumerate(mats) for b in mats[i + 1 :])
-
-
 def _restrict(local, basis):
     """The matrices of local on a subspace invariant under each, in its
     `kernel_basis` basis.  Each basis vector is 1 at its last nonzero entry
@@ -215,29 +201,44 @@ def _restrict(local, basis):
 
 
 def _joint_decomposition(t: RepPoint):
-    """Iterated splitting into joint generalized eigenspaces.
+    """Joint generalized eigenspaces of C^r under the tuple, with the kernel
+    chain of the local nilpotent action on each.
 
-    Returns a list of (point, local) with local the tuple restricted to the
-    corresponding subspace of C^r, in a basis of it.  Raises ValueError if
-    the matrices do not commute, and SpectrumNotSplit if any restricted
-    characteristic polynomial fails to split.
+    Returns a sorted list of (point, dims), where dims lists the dimensions
+    of ker N, ker N^2, ... up to the dimension of the space, for
+    N = sum_i i*(m_i - p_i*I) at the point p.  The first arity - 1 matrices
+    split C^r one after another, each space carrying the tuple restricted
+    to it.  Each space is then split once by n = sum_i i*m_i: there every
+    earlier m_i has the single eigenvalue p_i, so an eigenvalue c of n
+    gives the last coordinate (c - sum_{i<arity} i*p_i)/arity, its
+    generalized eigenspace is the joint one, and the `kernel_chain` of
+    n - c is that of N.  For one matrix this is the single split by m_1.
+    Raises ValueError if the matrices do not commute, and SpectrumNotSplit
+    if a characteristic polynomial, of a restricted m_i or of n on a
+    space, fails to split.
     """
-    if not _commute(t.matrices):
+    if not commute(t.matrices):
         raise ValueError("the matrices of the tuple do not commute")
     spaces = [((), t.matrices)]
-    for i in range(t.arity):
+    for i in range(t.arity - 1):
         spaces = [
             (prefix + (ev,), _restrict(local, basis))
             for prefix, local in spaces
             for ev, _, basis in eigen_chains(local[i])
         ]
-    spaces.sort(key=lambda s: tuple(x.sort_key() for x in s[0]))
-    return spaces
+    weights = range(1, t.arity + 1)
+    out = []
+    for prefix, local in spaces:
+        shift = _dot(prefix, weights)  # sum_{i<arity} i*p_i: the prefix is one short
+        for c, dims, _ in eigen_chains(_dot(local, weights)):
+            out.append((prefix + ((c - shift) / t.arity,), dims))
+    out.sort(key=lambda s: tuple(x.sort_key() for x in s[0]))
+    return out
 
 
 def support_length(t: RepPoint) -> SupportLengthData:
     """Joint generalized-eigenspace decomposition of C^r under the tuple."""
-    return SupportLengthData((pt, local[0].nrows) for pt, local in _joint_decomposition(t))
+    return SupportLengthData((pt, dims[-1]) for pt, dims in _joint_decomposition(t))
 
 
 def pushforward(t: RepPoint) -> PushforwardModule:
@@ -249,16 +250,9 @@ def pushforward(t: RepPoint) -> PushforwardModule:
     an implementation convention (the filtration is canonical only over a
     curve).  The rank of N^j is k - dim ker N^j on a space of dimension k.
     """
-    out = []
-    for pt, local in _joint_decomposition(t):
-        k = local[0].nrows
-        ident = Matrix.identity(k)
-        n = Matrix.zeros(k)
-        for i, (m, p_i) in enumerate(zip(local, pt), start=1):
-            n = n + (m - ident * p_i) * i
-        dims, _ = kernel_chain(n, k)
-        out.append((pt, k, [k - d for d in dims[:-1]]))
-    return PushforwardModule(out)
+    return PushforwardModule(
+        (pt, dims[-1], [dims[-1] - d for d in dims[:-1]]) for pt, dims in _joint_decomposition(t)
+    )
 
 
 def hilbert_chow(m: Matrix):

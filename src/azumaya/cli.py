@@ -137,8 +137,9 @@ def run_higgsing_solve(payload):
     bhat = [jsonio.parse_scalar(x) for x in jsonio.parse_array(bhat, "bhat")]
     sol = jsonio.build(HiggsSolution.combine, problem, bhat)
     residual = ode_residual(problem, sol.b)
-    bi = jsonio.build(sol.b.char_poly_bivariate, "v")
-    b0cp = char_poly(sol.b0, "v")
+    eig = sol.b.var + "'"  # internal and never printed: any name but the matrix variable's
+    bi = sol.b.char_poly_bivariate(eig)
+    b0cp = char_poly(sol.b0, eig)
     report = classify_deformation(problem, sol)
     out.update(
         {
@@ -146,7 +147,7 @@ def run_higgsing_solve(payload):
             "B": jsonio.poly_matrix_json(sol.b),
             "B0": jsonio.matrix_json(sol.b0),
             "residual_zero": residual.is_zero(),
-            "char_poly_matches_degree0": bi == b0cp.as_multi((sol.b.var, "v"), 1),
+            "char_poly_matches_degree0": bi == b0cp.as_multi((sol.b.var, eig), 1),
             "branch": {
                 "case": report.case,
                 "eigenvalues": [jsonio.scalar_string(x) for x in report.eigenvalues],

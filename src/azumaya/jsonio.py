@@ -47,6 +47,18 @@ def parse_array(value, field: str) -> list:
     return value
 
 
+def parse_names(value, field: str) -> tuple:
+    """The variable names of an array field, as strings.  A repeated name is
+    refused: it would stand for two coordinates at once."""
+    names = tuple(str(v) for v in parse_array(value, field))
+    seen = set()
+    for v in names:
+        if v in seen:
+            raise InputError(f"field {field!r} repeats the name {v!r}")
+        seen.add(v)
+    return names
+
+
 MAX_LITERAL_DIGITS = 1000
 _INT_LIMIT = 10**MAX_LITERAL_DIGITS
 # Bounds on the work of the two requests that small integer fields make
@@ -219,7 +231,7 @@ def parse_rep_point(obj) -> RepPoint:
     if not isinstance(obj, dict):
         raise InputError("a representation point is an object")
     try:
-        variables = [str(v) for v in parse_array(obj["vars"], "vars")]
+        variables = parse_names(obj["vars"], "vars")
         mats = [parse_matrix(m) for m in parse_array(obj["matrices"], "matrices")]
     except KeyError as exc:
         raise InputError(f"representation point needs {exc}") from exc
@@ -232,7 +244,7 @@ def parse_rep_point(obj) -> RepPoint:
 def parse_presentation(obj) -> AffinePresentation:
     if not isinstance(obj, dict) or "vars" not in obj:
         raise InputError("a presentation is {vars, relators}")
-    variables = tuple(str(v) for v in parse_array(obj["vars"], "vars"))
+    variables = parse_names(obj["vars"], "vars")
     relators = [parse_terms(r, variables) for r in parse_array(obj.get("relators", []), "relators")]
     return build(AffinePresentation, variables, relators)
 
@@ -405,7 +417,7 @@ def poly_matrix_json(b: PolyMatrix):
 
 def parse_mpoly_matrix(obj, variables=None) -> MPolyMatrix:
     if isinstance(obj, dict):
-        variables = tuple(str(v) for v in parse_array(obj.get("vars", list(variables or ())), "vars"))
+        variables = parse_names(obj.get("vars", list(variables or ())), "vars")
         obj = obj.get("entries")
     if variables is None:
         raise InputError("matrix over a polynomial ring needs variables")
@@ -431,7 +443,7 @@ def mpoly_matrix_json(m: MPolyMatrix):
 def parse_formal_form(obj) -> FormalForm:
     if not isinstance(obj, dict) or "vars" not in obj or "r" not in obj:
         raise InputError("a formal form is {vars, r, terms}")
-    variables = tuple(str(v) for v in parse_array(obj["vars"], "vars"))
+    variables = parse_names(obj["vars"], "vars")
     r = parse_int(obj["r"], "r")
     terms = []
     degree = parse_int(obj.get("degree", 1), "degree")
@@ -490,7 +502,7 @@ def classical_form_json(f: ClassicalForm):
 def parse_affine_morphism(obj) -> MorphismToAffine:
     if not isinstance(obj, dict) or "target_vars" not in obj or "images" not in obj:
         raise InputError("a morphism is {target_vars, source_vars, r?, images}")
-    source_vars = tuple(str(v) for v in parse_array(obj.get("source_vars", []), "source_vars"))
+    source_vars = parse_names(obj.get("source_vars", []), "source_vars")
     images = [parse_mpoly_matrix(m, source_vars or None) for m in parse_array(obj["images"], "images")]
-    target_vars = tuple(str(v) for v in parse_array(obj["target_vars"], "target_vars"))
+    target_vars = parse_names(obj["target_vars"], "target_vars")
     return build(MorphismToAffine, target_vars, images)

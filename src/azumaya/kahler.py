@@ -17,7 +17,7 @@ exposed as an oracle.
 
 from __future__ import annotations
 
-from .linalg import Matrix, _dot, commutator
+from .linalg import Matrix, _dot, commute
 from .poly import MultiPoly
 from .scalars import GaussianRational, ONE
 
@@ -101,6 +101,10 @@ class FormalForm:
         self.vars = tuple(variables)
         self.r = int(r)
         self.degree = int(degree)
+        if self.r < 1:
+            raise ValueError(f"the rank r must be at least 1, not {self.r}")
+        if self.degree < 1:
+            raise ValueError(f"the degree must be at least 1, not {self.degree}")
         kept = []
         for t in terms:
             if t.degree != self.degree:
@@ -338,10 +342,8 @@ class MorphismToAffine:
         for m in self.images:
             if m.vars != first.vars or m.nrows != first.nrows:
                 raise ValueError("image matrices must share variables and rank")
-        for i in range(len(self.images)):
-            for j in range(i + 1, len(self.images)):
-                if not commutator(self.images[i], self.images[j]).is_zero():
-                    raise ValueError("non-commuting images do not define a morphism")
+        if not commute(self.images):
+            raise ValueError("non-commuting images do not define a morphism")
 
     @property
     def source_vars(self):

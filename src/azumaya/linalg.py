@@ -204,6 +204,11 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
 
+def commute(mats) -> bool:
+    """True iff the matrices commute pairwise."""
+    return all(commutator(a, b).is_zero() for i, a in enumerate(mats) for b in mats[i + 1 :])
+
+
 # ---------------------------------------------------------------------------
 # elimination
 

@@ -1,10 +1,14 @@
+import io
 import itertools
+import json
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+from azumaya import azpoint, cli
 from azumaya.azpoint import (
     AffinePresentation,
     PushforwardModule,
@@ -192,6 +196,49 @@ def test_pushforward_of_conjugated_jordan_blocks_matches_partition_arithmetic():
                 want.append((pt, sum(parts), ranks))
             assert pushforward(t) == PushforwardModule(want)
             assert support_length(t) == SupportLengthData((pt, ln) for pt, ln, _ in want)
+
+
+def test_pushforward_reads_the_filtration_of_the_one_nilpotent_coordinate():
+    # x = g(p + J)g^-1 and y = g(q*I)g^-1 meet in the one point (p, q), where
+    # N = 1*(x - p) + 2*(y - q) is g J g^-1: the ranks of its powers are
+    # sum_k max(part_k - j, 0), while y's nilpotent part is zero.  With the
+    # two swapped, N = 2*g J g^-1 has the same ranks.
+    rng = random.Random(31)
+    p, q = gr(1, 1), gr(-2)
+    for parts in ([1], [2], [3, 1], [2, 2, 1], [4, 2]):
+        r = sum(parts)
+        g = rand_invertible(rng, r)
+        ginv = _inverse(g)
+        x = g * (Matrix.identity(r) * p + jordan_nilpotent(parts)) * ginv
+        y = g * (Matrix.identity(r) * q) * ginv
+        ranks = tuple(sum(max(k - j, 0) for k in parts) for j in range(1, parts[0]))
+        assert pushforward(RepPoint(("x", "y"), (x, y))).entries == (((p, q), r, ranks),)
+        assert pushforward(RepPoint(("x", "y"), (y, x))).entries == (((q, p), r, ranks),)
+
+
+def test_no_space_is_restricted_after_the_last_split(monkeypatch):
+    sizes = []
+    restrict = azpoint._restrict
+    monkeypatch.setattr(azpoint, "_restrict", lambda local, basis: sizes.append(len(basis)) or restrict(local, basis))
+    m = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    assert pushforward(single(m)).entries == (((gr(1),), 2, (1,)), ((gr(2),), 1, ()))
+    assert support_length(single(m)) == SupportLengthData([((gr(1),), 2), ((gr(2),), 1)])
+    assert sizes == []
+    # two matrices: one restriction per eigenvalue of x, none per joint point
+    t = RepPoint(("x", "y"), (Matrix.diag([1, 1, 2]), Matrix.diag([3, 4, 5])))
+    assert support_length(t) == SupportLengthData([((gr(1), gr(3)), 1), ((gr(1), gr(4)), 1), ((gr(2), gr(5)), 1)])
+    assert sizes == [2, 1]
+
+
+def test_a_last_split_that_fails_is_spectrum_not_split(monkeypatch, capsys):
+    # on C^2, where x = I, the last split is by x + 2y, whose characteristic
+    # polynomial z^2 - 2z - 7 has no root in Q(i)
+    payload = {"point": {"vars": ["x", "y"], "matrices": [[[1, 0], [0, 1]], [[0, 2], [1, 0]]]}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code = cli.main(["pushforward", "--input", "-"])
+    out = json.loads(capsys.readouterr().out)
+    assert (code, out["error"]) == (1, "spectrum-not-split")
+    assert out["detail"].startswith("no linear factorization over Q(i): ")
 
 
 def test_support_and_pushforward_refuse_a_tuple_that_does_not_commute():

@@ -322,9 +322,6 @@ def test_integer_field_limit(monkeypatch, capsys):
         (["higgsing", "solve"], {"A": [[[], []], [[], []]], "lambda": 0}, "lam must be nonzero"),
         (["higgsing", "solve"], {"A": [[[], [1]], [[], []]], "lambda": 1, "bhat": [1, 0, 0]},
          "bhat must have four coordinates"),
-        (["higgsing", "solve"], {"A": {"var": "v", "entries": [[[], [1]], [[], []]]}, "lambda": 1,
-                                 "bhat": [1, 0, 0, 0]},
-         "the eigenvalue variable 'v' is also the matrix variable"),
         (["spectral-curve"], {"phi": {"var": "lambda", "entries": [[[0, 1]]]}},
          "the eigenvalue variable 'lambda' is also the matrix variable"),
         # a string where an array belongs is refused, not read character by character
@@ -344,15 +341,49 @@ def test_integer_field_limit(monkeypatch, capsys):
                                   "form": [[{"exps": [1, 0], "coef": 1}], []]},
          "field 'target_vars' is not an array: 'ab'"),
         (["spectral-curve"], {"phi": ["1"]}, "field 'matrix row' is not an array: '1'"),
+        # a repeated variable name would stand for two coordinates at once
+        (["image"], {"vars": ["x", "x"], "matrices": [[[1]], [[2]]], "degree_bound": 1},
+         "field 'vars' repeats the name 'x'"),
+        (["rep-check"], {"point": {"vars": ["x", "y"], "matrices": [[[1]], [[1]]]},
+                         "presentation": {"vars": ["x", "x"], "relators": []}},
+         "field 'vars' repeats the name 'x'"),
+        (["kahler", "trace"], {"vars": ["x", "y", "x"], "r": 1, "terms": []}, "field 'vars' repeats the name 'x'"),
+        (["kahler", "pullback"], {"phi": {"target_vars": ["a", "b"], "source_vars": ["x", "x"],
+                                          "images": [[[[{"exps": [1, 0], "coef": 1}]]], [[2]]]},
+                                  "form": [[{"exps": [1, 0], "coef": 1}], []]},
+         "field 'source_vars' repeats the name 'x'"),
+        (["kahler", "pullback"], {"phi": {"target_vars": ["a", "a"], "source_vars": ["x"],
+                                          "images": [[[[{"exps": [1], "coef": 1}]]], [[2]]]},
+                                  "form": [[{"exps": [1, 0], "coef": 1}], []]},
+         "field 'target_vars' repeats the name 'a'"),
+        (["kahler", "trace"], {"vars": ["x"], "r": 1, "terms": [{"factors": [{"dm": {"vars": ["y", "y"], "entries": [[1]]}}]}]},
+         "field 'vars' repeats the name 'y'"),
+        # a form has rank and degree at least 1
+        (["kahler", "trace"], {"vars": ["x"], "r": -1, "terms": []}, "the rank r must be at least 1, not -1"),
+        (["kahler", "trace"], {"vars": ["x"], "r": 1, "degree": -5, "terms": []},
+         "the degree must be at least 1, not -5"),
     ],
     ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda",
-         "higgs-bhat-length", "higgs-var-v", "curve-var-lambda", "higgs-bhat-string", "image-vars-string",
+         "higgs-bhat-length", "curve-var-lambda", "higgs-bhat-string", "image-vars-string",
          "relator-exps-string", "orbit-point-string", "orbit-partition-string", "pullback-target-vars-string",
-         "curve-row-string"],
+         "curve-row-string", "image-vars-repeated", "presentation-vars-repeated", "form-vars-repeated",
+         "pullback-source-vars-repeated", "pullback-target-vars-repeated", "form-matrix-vars-repeated",
+         "form-r-negative", "form-degree-negative"],
 )
 def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
     code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
     assert (code, out) == (2, {"error": "malformed-input", "detail": detail})
+
+
+def test_higgsing_solve_answers_alike_for_matrix_variable_v_and_z(monkeypatch, capsys):
+    # the eigenvalue variable of the internal spectral curve is never printed,
+    # so no name of the matrix variable can clash with it
+    answers = []
+    for var in ("v", "z"):
+        payload = {"A": {"var": var, "entries": [[1, 0], [0, 1]]}, "lambda": 1, "bhat": [1, 0, 0, 1]}
+        answers.append(run_main(["higgsing", "solve"], json.dumps(payload), monkeypatch, capsys))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == 0 and answers[0][1]["char_poly_matches_degree0"] is True
 
 
 def test_errors_while_computing_stay_domain_errors(monkeypatch, capsys):
