@@ -417,8 +417,10 @@ def poly_matrix_json(b: PolyMatrix):
 
 def parse_mpoly_matrix(obj, variables=None) -> MPolyMatrix:
     if isinstance(obj, dict):
-        variables = parse_names(obj.get("vars", list(variables or ())), "vars")
-        obj = obj.get("entries")
+        own = parse_names(obj.get("vars", list(variables or ())), "vars")
+        if variables is not None and own != tuple(variables):
+            raise InputError(f"matrix variables {own} differ from {tuple(variables)}")
+        variables, obj = own, obj.get("entries")
     if variables is None:
         raise InputError("matrix over a polynomial ring needs variables")
     variables = tuple(variables)
@@ -466,7 +468,8 @@ def parse_formal_form(obj) -> FormalForm:
         ident = MPolyMatrix.identity(variables, r)
         terms.append(FormTerm(ident if pre is None else pre,
                               [(dm, ident if post is None else post) for dm, post in factors]))
-        degree = len(factors)
+        if "degree" not in obj:  # a declared degree is kept: FormalForm checks the terms against it
+            degree = len(factors)
     return build(FormalForm, variables, r, degree, terms)
 
 

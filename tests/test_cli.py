@@ -362,17 +362,35 @@ def test_integer_field_limit(monkeypatch, capsys):
         (["kahler", "trace"], {"vars": ["x"], "r": -1, "terms": []}, "the rank r must be at least 1, not -1"),
         (["kahler", "trace"], {"vars": ["x"], "r": 1, "degree": -5, "terms": []},
          "the degree must be at least 1, not -5"),
+        # a matrix that names other variables than its form or morphism is malformed, not a domain error
+        (["kahler", "trace"], {"vars": ["x"], "r": 1, "terms": [{"factors": [
+            {"dm": {"vars": ["y", "z"], "entries": [[[{"exps": [1, 0], "coef": 1}]]]}}]}]},
+         "matrix variables ('y', 'z') differ from ('x',)"),
+        (["kahler", "pullback"], {"phi": {"target_vars": ["a"], "source_vars": ["x"], "images": [
+            {"vars": ["y"], "entries": [[[{"exps": [1], "coef": 1}]]]}]}, "form": [[{"exps": [1], "coef": 1}]]},
+         "matrix variables ('y',) differ from ('x',)"),
     ],
     ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda",
          "higgs-bhat-length", "curve-var-lambda", "higgs-bhat-string", "image-vars-string",
          "relator-exps-string", "orbit-point-string", "orbit-partition-string", "pullback-target-vars-string",
          "curve-row-string", "image-vars-repeated", "presentation-vars-repeated", "form-vars-repeated",
          "pullback-source-vars-repeated", "pullback-target-vars-repeated", "form-matrix-vars-repeated",
-         "form-r-negative", "form-degree-negative"],
+         "form-r-negative", "form-degree-negative", "form-matrix-vars-differ", "pullback-image-vars-differ"],
 )
 def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
     code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)
     assert (code, out) == (2, {"error": "malformed-input", "detail": detail})
+
+
+def test_a_declared_form_degree_is_kept_and_otherwise_read_off_the_terms(monkeypatch, capsys):
+    one = {"dm": [[[{"exps": [1], "coef": 1}]]]}
+    two = {"vars": ["x"], "r": 1, "terms": [{"factors": [one, {"dm": [[[{"exps": [2], "coef": 1}]]]}]}]}
+    code, out = run_main(["kahler", "trace"], json.dumps(two), monkeypatch, capsys)
+    assert (code, out["degree"]) == (0, 2)
+    assert run_main(["kahler", "trace"], json.dumps(dict(two, degree=2)), monkeypatch, capsys) == (code, out)
+    declared = {"vars": ["x"], "r": 1, "degree": 3, "terms": [{"factors": [one]}]}
+    code, out = run_main(["kahler", "trace"], json.dumps(declared), monkeypatch, capsys)
+    assert (code, out) == (2, {"error": "malformed-input", "detail": "mixed tensor degrees in one form"})
 
 
 def test_higgsing_solve_answers_alike_for_matrix_variable_v_and_z(monkeypatch, capsys):

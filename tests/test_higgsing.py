@@ -129,6 +129,56 @@ def test_nonconstant_coefficients_break_the_closed_forms():
     assert all(not r.is_zero() for r in residuals)
 
 
+def _rand_gaussian(rng):
+    # zero a quarter of the time; otherwise real or Gaussian, with denominators
+    kind = rng.randrange(4)
+    re, im = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2))
+    return gr(0) if kind == 0 else gr(re, im if kind == 3 else 0)
+
+
+def _rand_poly_matrix(rng, var, max_degree):
+    # entries of length 0 (zero) to max_degree + 1; length 1 is a constant
+    return PolyMatrix([[UniPoly(var, [_rand_gaussian(rng) for _ in range(rng.randint(0, max_degree + 1))])
+                        for _ in range(2)] for _ in range(2)], var)
+
+
+@pytest.mark.parametrize("a_degree, b_var", [(0, "z"), (0, "t"), (2, "z")],
+                         ids=["constant-A", "constant-A-b-in-t", "polynomial-A"])
+def test_ode_residual_matches_the_matrix_product_oracle(a_degree, b_var):
+    rng = random.Random(20 + a_degree + len(b_var))
+    for _ in range(60):
+        a = _rand_poly_matrix(rng, "z", a_degree)
+        b = _rand_poly_matrix(rng, b_var, rng.choice((0, 1, 3)))
+        lam = _rand_gaussian(rng) or gr(Fraction(2, 3), Fraction(-1, 5))
+        res = ode_residual(HiggsProblem(a, lam), b)
+        assert res == b.deriv() * lam + (a * b - b * a)
+        assert all(e.var == b_var for row in res.rows for e in row)
+
+
+def test_ode_residual_builds_no_polynomial_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a polynomial product was built")
+
+    p = solvable_problem(gr(Fraction(2, 3)), gr(-3), I)
+    sols = fundamental_solutions(p)
+    a = PolyMatrix([[z, z * z], [UniPoly.constant(gr(-1), "z"), -z]])
+    residuals = lambda: [ode_residual(p, b) for b in sols] + [ode_residual(HiggsProblem(a, 2), sols[1])]
+    expected = residuals()
+    monkeypatch.setattr(PolyMatrix, "__mul__", refuse)
+    monkeypatch.setattr(UniPoly, "__mul__", refuse)
+    assert residuals() == expected
+    assert all(r.is_zero() for r in expected[:4]) and not expected[4].is_zero()
+
+
+def test_ode_residual_refusals_keep_their_text():
+    p = HiggsProblem(PolyMatrix([[z, 1], [0, -z]]), 1)
+    t = UniPoly.x("t")
+    with pytest.raises(ValueError, match=r"^dimension mismatch$"):
+        ode_residual(p, PolyMatrix.identity(3))
+    with pytest.raises(ValueError, match=r"^variable mismatch: z vs t$"):
+        ode_residual(p, PolyMatrix([[t, 0], [0, t]], "t"))
+
+
 def test_degree_zero_term_and_char_poly_claim():
     rng = random.Random(8)
     for _ in range(40):

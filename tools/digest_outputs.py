@@ -7,9 +7,11 @@ ROOT/src and the workload builders from ROOT/bench, runs each operation of
 the `spectral`, `symbolic` and `requests` workloads at every seed, and
 then of the smoke set that every workload shares, once, and prints
 `bench/run.py`'s `digest` of each output (or the exception it raised).
-It writes nothing. Two checkouts give the same output exactly when every
-operation answers the same, so a change that must keep outputs
-byte-identical is checked with
+Last it prints the exit code and the stdout of
+`cli.main(["scenario", "run-all"])`. It writes no file. Two checkouts give
+the same output exactly when every operation and every scenario answers
+the same, so a change that must keep outputs byte-identical is checked
+with one diff:
 
     diff <(python3 tools/digest_outputs.py OLD --seeds 901 902 903) \\
          <(python3 tools/digest_outputs.py NEW --seeds 901 902 903)
@@ -18,6 +20,8 @@ byte-identical is checked with
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
@@ -47,6 +51,12 @@ def main(argv=None) -> int:
             except Exception as exc:  # an operation's refusal is part of its answer
                 out = ("raised", type(exc).__name__, str(exc))
             print(f"{label} {i} {op.kind}: {out!r}")
+    from azumaya import cli
+
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        code = cli.main(["scenario", "run-all"])
+    print(f"scenario run-all: exit {code}")
+    print(text.getvalue(), end="")
     return 0
 
 
