@@ -238,6 +238,9 @@ def run_torus_validate_profile(payload):
 
 def run_kahler_trace(payload):
     w = jsonio.parse_formal_form(payload["form"] if "form" in payload else payload)
+    limit = jsonio.MAX_FORM_INDICES  # n^min(s, bits) > limit iff n^s > limit, for n >= 2
+    if len(w.vars) ** min(w.degree, limit.bit_length()) > limit:
+        raise InputError(f"kahler trace: {len(w.vars)}^{w.degree} index tuples exceed the limit of {limit}")
     return jsonio.classical_form_json(trace_form(w))
 
 

@@ -61,11 +61,15 @@ def parse_names(value, field: str) -> tuple:
 
 MAX_LITERAL_DIGITS = 1000
 _INT_LIMIT = 10**MAX_LITERAL_DIGITS
-# Bounds on the work of the two requests that small integer fields make
-# slow.  On a 2-core host the largest accepted weyl-check answers in about
-# 0.7 s, and the largest accepted image on small matrices in about 0.02 s.
+# Bounds on the work of the requests that small integer fields or short
+# inputs make slow.  On a 2-core host the largest accepted weyl-check
+# answers in about 0.7 s, the largest accepted image on small matrices in
+# about 0.02 s, the pullback of u^1000 du along u -> [[x + y]] in about
+# 0.2 s, and a one-term trace of 3^8 index tuples in about 0.1 s.
 MAX_MONOMIALS = 100  # image: monomials of degree <= D in the point's variables
 MAX_WEYL_TERMS = 200_000  # weyl-check: r*N*(r + N), r*(N-1) states of r entries
+MAX_EXPONENT = 1000  # every exponent of a polynomial's terms
+MAX_FORM_INDICES = 10_000  # kahler trace: index tuples (k_1..k_s), len(vars)^degree
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,8 @@ def parse_terms(obj, variables) -> MultiPoly:
         exps = tuple(parse_int(e, "exps") for e in parse_array(t["exps"], "exps"))
         if len(exps) != len(variables):
             raise InputError("exponent arity does not match the variables")
+        if any(e > MAX_EXPONENT for e in exps):
+            raise InputError(f"exponent {max(exps)} exceeds the limit of {MAX_EXPONENT}")
         c = parse_scalar(t["coef"])
         if exps in terms:
             raise InputError("duplicate exponent tuple in term list")

@@ -17,8 +17,8 @@ exposed as an oracle.
 
 from __future__ import annotations
 
-from .linalg import Matrix, _dot, commute
-from .poly import MultiPoly
+from .linalg import Matrix, commute
+from .poly import MultiPoly, _zi_addmul, _zi_cleared, _zi_multi
 from .scalars import GaussianRational, ONE
 
 
@@ -26,9 +26,6 @@ class MPolyMatrix(Matrix):
     """Square matrix with multivariate polynomial entries over shared vars."""
 
     _SEP = ", "
-    # bound here too, so that patching the product of one matrix class
-    # (as bench/tracer.py does) leaves the others alone
-    __mul__ = Matrix.__mul__
 
     def __init__(self, variables, entries):
         variables = tuple(variables)
@@ -46,6 +43,18 @@ class MPolyMatrix(Matrix):
         if any(len(row) != len(grid) for row in grid):
             raise ValueError("matrix must be square")
         self._fill(tuple(grid), variables)
+
+    def __mul__(self, other):
+        """Matrix product in one pass over Z[i][z_1..z_n] (both operands
+        cleared to one denominator den, each entry summed in ints and
+        divided by den^2 once), or the product by a scalar or an entry."""
+        if not isinstance(other, Matrix):
+            return super().__mul__(other)
+        self._check_product(other)
+        if self.vars != other.vars:
+            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+        den, w, (a, b) = _zi_grids((self, other))
+        return self._new([_zi_multi(self.vars, e, den * den, w) for e in row] for row in _zi_matmul(a, b))
 
     @classmethod
     def zeros(cls, variables, r: int) -> "MPolyMatrix":
@@ -293,32 +302,71 @@ class ClassicalForm:
 
 def trace_form(w: FormalForm) -> ClassicalForm:
     """The sound trace oracle: a*(dm)*b maps to trace(a * Dm * b) with Dm
-    the entrywise differential; degree-s terms contract slotwise."""
-    n = len(w.vars)
+    the entrywise differential; degree-s terms contract slotwise.  One pass
+    over Z[i][z_1..z_n]: every matrix of the form is cleared to one
+    denominator den, and each coefficient, a sum of products of 2s + 1
+    matrices, is divided by den^(2s + 1) once."""
+    n, size = len(w.vars), 2 * w.degree + 1
+    mats = [m for t in w.terms for m in (t.pre, *(x for f in t.factors for x in f))]
+    den, width, grids = _zi_grids(mats, size)
+    mask, scale = (1 << width) - 1, den ** size
     coeffs = {}
-    for t in w.terms:
-        slots = [(post, [dm.partial(k) for k in range(n)]) for dm, post in t.factors]
-        _accumulate(coeffs, t.pre, slots, ())
-    return ClassicalForm(w.vars, w.degree, coeffs)
+    for i in range(0, len(grids), size):  # pre, then dm and post of each slot
+        pre, *slots = grids[i:i + size]
+        parts = [[[[_zi_partial(f, k * width, mask) for f in row] for row in dm] for k in range(n)]
+                 for dm in slots[::2]]
+        _accumulate(coeffs, pre, list(zip(parts, slots[1::2])), ())
+    return ClassicalForm(w.vars, w.degree, {idx: _zi_multi(w.vars, c, scale, width) for idx, c in coeffs.items()})
 
 
-def _accumulate(coeffs, acc: MPolyMatrix, slots, idx):
+def _accumulate(coeffs, acc, slots, idx):
     """Add trace(acc * dpart_1 * post_1 * ... * dpart_s * post_s) to the
-    coefficient of each index tuple (k_1, ..., k_s) of the slots' partials."""
-    post, dparts = slots[0]
-    if len(slots) > 1:
-        for k, dpart in enumerate(dparts):
-            if not dpart.is_zero():
-                _accumulate(coeffs, acc * dpart * post, slots[1:], idx + (k,))
-        return
-    # last slot: trace(acc * dpart * post) = trace(dpart * q) with q = post * acc,
-    # which is the sum of dpart[i][j] * q[j][i]; ClassicalForm drops zero sums
-    q = (post * acc).transpose().vec()
+    coefficient of each index tuple (k_1, ..., k_s) of the slots' partials,
+    over grids of Z[i] polynomials."""
+    dparts, post = slots[0]
+    if len(slots) == 1:  # trace(acc * dpart * post) = sum of dpart[i][j] * q[j][i] with q = post * acc
+        q = [f for col in zip(*_zi_matmul(post, acc)) for f in col]
     for k, dpart in enumerate(dparts):
-        if not dpart.is_zero():
+        if not any(any(row) for row in dpart):
+            continue
+        if len(slots) > 1:
+            _accumulate(coeffs, _zi_matmul(_zi_matmul(acc, dpart), post), slots[1:], idx + (k,))
+        else:
             key = idx + (k,)
-            c = _dot(dpart.vec(), q)
-            coeffs[key] = coeffs[key] + c if key in coeffs else c
+            coeffs[key] = _zi_dot(coeffs.get(key, {}), [f for row in dpart for f in row], q)
+
+
+def _zi_grids(mats, factors: int = 2):
+    """(den, width, grids): each matrix times den, the lcm of the
+    denominators in all of them, as a grid of Z[i] polynomials, packed as
+    `poly._zi_cleared` packs them for products of `factors` entries."""
+    den, width, flat = _zi_cleared([e for m in mats for row in m.rows for e in row], factors)
+    it = iter(flat)
+    return den, width, [[[next(it) for _ in row] for row in m.rows] for m in mats]
+
+
+def _zi_partial(f, shift: int, mask: int):
+    """The partial derivative of a Z[i] polynomial by the variable whose
+    exponent is packed at bit `shift`."""
+    out = {}
+    for e, (a, b) in f.items():
+        if k := e >> shift & mask:
+            out[e - (1 << shift)] = (k * a, k * b)
+    return out
+
+
+def _zi_dot(acc, u, v):
+    """acc plus the sum of the products of u and v entry by entry, Z[i]
+    polynomials all, with the cancelled terms dropped."""
+    for f, g in zip(u, v):
+        _zi_addmul(acc, f, g)
+    return {e: x for e, x in acc.items() if x[0] or x[1]}
+
+
+def _zi_matmul(a, b):
+    """The product of two grids of Z[i] polynomials."""
+    cols = list(zip(*b))
+    return [[_zi_dot({}, row, col) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

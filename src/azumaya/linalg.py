@@ -9,7 +9,10 @@ rank over Q(i), char_poly over Z[i][x] after each row of x*I - m is
 cleared of its denominators, so no rational-function entries ever appear.
 min_poly runs its Krylov chains over Z[i] too, on the matrix cleared of
 its denominators once, with a fraction-free incremental echelon.  Kernels
-and solves use reduced row echelon form over the field.
+and solves use reduced row echelon form over the field.  ring_det, the
+determinant of a grid of multivariate polynomials, clears the grid once
+and expands its cofactors over Z[i][z_1..z_n] with the integer kernel of
+`poly`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly, UniPoly, _zi_addmul, _zi_cleared, _zi_multi
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
@@ -131,11 +134,7 @@ class Matrix:
         """Matrix product, or the product by a scalar of Q(i) or of the
         entry ring."""
         if isinstance(other, Matrix):
-            if self.ncols != other.nrows:
-                raise ValueError(
-                    f"dimension mismatch: {self.nrows}x{self.ncols} times "
-                    f"{other.nrows}x{other.ncols}"
-                )
+            self._check_product(other)
             cols = tuple(zip(*other.rows))
             return self._new([_dot(r, c) for c in cols] for r in self.rows)
         if not isinstance(other, (UniPoly, MultiPoly)):
@@ -161,6 +160,13 @@ class Matrix:
             if not k:
                 return out
             base = base * base
+
+    def _check_product(self, other: "Matrix"):
+        if self.ncols != other.nrows:
+            raise ValueError(
+                f"dimension mismatch: {self.nrows}x{self.ncols} times "
+                f"{other.nrows}x{other.ncols}"
+            )
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -516,40 +522,47 @@ def min_poly(m: Matrix, var: str = "z") -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# generic determinant (used for symbolic matrices over other rings)
+# determinant of a grid of multivariate polynomials
 
 
 def ring_det(rows, zero, one):
-    """Determinant by expansion along columns, memoized over column masks.
+    """Determinant of a square grid of MultiPolys over shared variables.
 
-    Division-free, so it works over any commutative ring whose elements
-    support +, * and unary -.  Intended for small sizes.
+    The grid is cleared once to den * grid over Z[i][z_1..z_n], and its
+    determinant is expanded along rows, memoized over the masks of the
+    columns used, each cofactor product added by `poly._zi_addmul`; the
+    result is det(den * grid) / den^n.  Division-free and exponential in
+    the size, so intended for small sizes.  `zero` and `one` are the zero
+    and one of the ring; `one` is the determinant of the empty grid.
     """
     n = len(rows)
     if n == 0:
         return one
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square grid")
+    entries = [e for r in rows for e in r]
+    for e in entries:
+        zero._same_vars(e)
+    den, w, flat = _zi_cleared(entries, n)
+    grid = [flat[i:i + n] for i in range(0, n * n, n)]
+    neg = [[{e: (-a, -b) for e, (a, b) in f.items()} for f in row] for row in grid]
     memo = {}
 
     def minor(r, mask):
-        if r == n:
-            return one
-        key = mask
-        if key in memo:
-            return memo[key]
-        acc = zero
-        sign = 1
+        """det of rows r.. on the columns outside mask (r bits set)."""
+        if r == n - 1:
+            return grid[r][(~mask & (1 << n) - 1).bit_length() - 1]
+        if mask in memo:
+            return memo[mask]
+        acc, odd = {}, False
         for c in range(n):
-            bit = 1 << c
-            if mask & bit:
+            if mask >> c & 1:
                 continue
-            entry = rows[r][c]
-            sub = minor(r + 1, mask | bit)
-            term = entry * sub
-            acc = acc + term if sign == 1 else acc - term
-            sign = -sign
-        memo[key] = acc
+            f = (neg if odd else grid)[r][c]
+            odd = not odd
+            if f:
+                _zi_addmul(acc, f, minor(r + 1, mask | 1 << c))
+        memo[mask] = acc = {e: v for e, v in acc.items() if v[0] or v[1]}
         return acc
 
-    return minor(0, 0)
+    return _zi_multi(zero.vars, minor(0, 0), den ** n, w)

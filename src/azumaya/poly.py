@@ -5,6 +5,9 @@ leading coefficient nonzero (the zero polynomial is the empty tuple).
 ``MultiPoly`` keeps a map from exponent tuples to nonzero coefficients;
 the canonical term order is graded lexicographic on the declared variable
 order (serialization lists terms by ascending (total degree, exponents)).
+Multivariate products run in integer passes over Z[i][z_1..z_n] (see
+``_zi_addmul``), shared by the matrix products and the trace contraction of
+``kahler`` and by ``linalg.ring_det``.
 
 The public constructors coerce and validate their input.  Arithmetic
 results are already canonical and go through the trusted ``_new`` of each
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
 _object_new = object.__new__
 
@@ -398,15 +401,10 @@ class MultiPoly:
                 return MultiPoly._new(self.vars, {})
             return MultiPoly._new(self.vars, {e: a * c for e, a in self.terms.items()})
         self._same_vars(other)
-        out = {}
-        get = out.get
-        others = other.terms.items()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in others:
-                e = tuple(map(add, e1, e2))
-                prev = get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return MultiPoly._new(self.vars, {e: c for e, c in out.items() if c})
+        den, w, (f, g) = _zi_cleared((self, other))
+        acc = {}
+        _zi_addmul(acc, f, g)
+        return _zi_multi(self.vars, acc, den * den, w)
 
     __rmul__ = __mul__
 
@@ -481,6 +479,49 @@ class MultiPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+# Polynomials over Z[i] for the integer passes: dicts from packed exponents to
+# (re, im) int pairs.  The operands of a computation are cleared to one
+# denominator once, products are added into an accumulator, and the result
+# comes back with one from_pair per coefficient.  The exponents (e_1..e_n)
+# pack into the int sum_i e_i * 2^(w*i) (Kronecker substitution; von zur
+# Gathen & Gerhard, Modern Computer Algebra, section 8.4), so the product of
+# two monomials is the sum of two ints, with no carry while every exponent
+# stays below 2^w.  An accumulator may hold pairs that cancelled to (0, 0).
+
+
+def _zi_cleared(polys, factors: int = 2):
+    """(den, width, dicts): den the lcm of the denominators of every
+    coefficient of the MultiPolys, and each one times den as a Z[i]
+    polynomial, its exponent tuples packed into ints of `width` bits per
+    variable, enough for a product of `factors` of them."""
+    den, pairs = clear_denominators([c for p in polys for c in p.terms.values()])
+    w = (factors * max((x for p in polys for e in p.terms for x in e), default=0)).bit_length()
+    it = iter(pairs)
+    return den, w, [{sum(x << w * i for i, x in enumerate(e)): next(it) for e in p.terms} for p in polys]
+
+
+def _zi_addmul(acc, f, g):
+    """Add the product f * g of two Z[i] polynomials into acc."""
+    get = acc.get
+    gs = g.items()
+    for e1, (a, b) in f.items():
+        for e2, (c, d) in gs:
+            e = e1 + e2
+            p = get(e)
+            if p is None:
+                acc[e] = (a * c - b * d, a * d + b * c)
+            else:
+                acc[e] = (p[0] + a * c - b * d, p[1] + a * d + b * c)
+
+
+def _zi_multi(variables: tuple, acc, den: int, w: int) -> MultiPoly:
+    """The MultiPoly acc / den, its exponents packed at w bits per variable,
+    with one from_pair per nonzero coefficient."""
+    mask, shifts = (1 << w) - 1, [w * i for i in range(len(variables))]
+    return MultiPoly._new(variables, {tuple(e >> s & mask for s in shifts): from_pair(re, im, den)
+                                      for e, (re, im) in acc.items() if re or im})
 
 
 def _trimmed(cs: list) -> tuple:

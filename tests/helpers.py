@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 from azumaya.linalg import Matrix, kernel_basis, rref
 from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
@@ -167,3 +168,89 @@ def naive_rank(m: Matrix) -> int:
         if r == nr:
             break
     return r
+
+
+# ---------------------------------------------------------------------------
+# object-level polynomial-matrix arithmetic over GaussianRationals: the
+# products, the determinant and the trace contraction that the integer
+# passes over Z[i][z_1..z_n] replaced
+
+
+def mpoly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """f * g term by term, one GaussianRational product per pair of terms."""
+    if f.vars != g.vars:
+        raise ValueError(f"variable mismatch: {f.vars} vs {g.vars}")
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return MultiPoly(f.vars, out)
+
+
+def mpoly_dot(u, v):
+    """The sum of the products of u and v entry by entry, u not empty."""
+    products = [mpoly_mul(f, g) for f, g in zip(u, v)]
+    return sum(products[1:], products[0])
+
+
+def mpoly_matrix_mul(a, b):
+    """The product of two MPolyMatrix, each entry a dot product of a row and
+    a column."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"dimension mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
+    cols = tuple(zip(*b.rows))
+    return a._new([mpoly_dot(r, c) for c in cols] for r in a.rows)
+
+
+def cofactor_det(rows, zero, one):
+    """Determinant by expansion along rows, memoized over column masks."""
+    n = len(rows)
+    if n == 0:
+        return one
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square grid")
+    memo = {}
+
+    def minor(r, mask):
+        if r == n:
+            return one
+        if mask not in memo:
+            acc, sign = zero, 1
+            for c in range(n):
+                if not mask & 1 << c:
+                    term = mpoly_mul(rows[r][c], minor(r + 1, mask | 1 << c))
+                    acc = acc + term if sign == 1 else acc - term
+                    sign = -sign
+            memo[mask] = acc
+        return memo[mask]
+
+    return minor(0, 0)
+
+
+def contracted_trace_form(w):
+    """trace_form by slot contraction: the product of the pre-factor with
+    each slot's partial and post-factor, and for the last slot the sum of
+    dpart[i][j] * q[j][i] with q = post * acc."""
+    from azumaya.kahler import ClassicalForm
+
+    coeffs = {}
+
+    def accumulate(acc, slots, idx):
+        (dm, post), rest = slots[0], slots[1:]
+        dparts = [dm.partial(k) for k in range(len(w.vars))]
+        if rest:
+            for k, dpart in enumerate(dparts):
+                if not dpart.is_zero():
+                    accumulate(mpoly_matrix_mul(mpoly_matrix_mul(acc, dpart), post), rest, idx + (k,))
+            return
+        q = mpoly_matrix_mul(post, acc).transpose().vec()
+        for k, dpart in enumerate(dparts):
+            if not dpart.is_zero():
+                c = mpoly_dot(dpart.vec(), q)
+                key = idx + (k,)
+                coeffs[key] = coeffs[key] + c if key in coeffs else c
+
+    for t in w.terms:
+        accumulate(t.pre, t.factors, ())
+    return ClassicalForm(w.vars, w.degree, coeffs)

@@ -461,6 +461,19 @@ def test_flags_override_input_fields(monkeypatch, capsys):
     assert code == 0 and out["degree_bound"] == 3
 
 
+def _power_pullback(k):
+    """The pullback of u^k du along u -> [[x + y]]."""
+    return {"phi": {"target_vars": ["u"], "source_vars": ["x", "y"],
+                    "images": [[[[{"exps": [1, 0], "coef": 1}, {"exps": [0, 1], "coef": 1}]]]]},
+            "form": [[{"exps": [k], "coef": 1}]]}
+
+
+def _one_term_trace(n, s):
+    """A one-term form of degree s on n variables, each slot d(x_1...x_n)."""
+    dm = {"dm": [[[{"exps": [1] * n, "coef": 1}]]]}
+    return {"form": {"vars": [f"x{i}" for i in range(n)], "r": 1, "terms": [{"factors": [dm] * s}]}}
+
+
 @pytest.mark.parametrize(
     "command, payload, detail",
     [
@@ -476,9 +489,20 @@ def test_flags_override_input_fields(monkeypatch, capsys):
         (["weyl-check", "--N", "2", "--r", "100000"], {},
          f"weyl-check: r*N*(r+N) exceeds the limit of {jsonio.MAX_WEYL_TERMS}"),
         (["weyl-check", "--N", "1"], {}, "weyl-check: N = 1 is below the limit of 2"),
+        (["kahler", "pullback"], _power_pullback(1001),
+         f"exponent 1001 exceeds the limit of {jsonio.MAX_EXPONENT}"),
+        (["kahler", "pullback"], _power_pullback(20000),
+         f"exponent 20000 exceeds the limit of {jsonio.MAX_EXPONENT}"),
+        (["kahler", "trace"], _one_term_trace(3, 9),
+         f"kahler trace: 3^9 index tuples exceed the limit of {jsonio.MAX_FORM_INDICES}"),
+        (["kahler", "trace"], _one_term_trace(10, 5),
+         f"kahler trace: 10^5 index tuples exceed the limit of {jsonio.MAX_FORM_INDICES}"),
+        (["kahler", "trace"], {"form": {"vars": ["x", "y"], "r": 1, "degree": 10**999, "terms": []}},
+         f"kahler trace: 2^{10**999} index tuples exceed the limit of {jsonio.MAX_FORM_INDICES}"),
     ],
     ids=["image-D300", "image-D13", "image-default-r13", "weyl-N3000", "weyl-N316-r2", "weyl-N2-r100000",
-         "weyl-N1"],
+         "weyl-N1", "pullback-exponent-1001", "pullback-exponent-20000", "trace-3-vars-degree-9",
+         "trace-10-vars-degree-5", "trace-declared-degree"],
 )
 def test_work_limits_refuse_up_front(command, payload, detail, monkeypatch, capsys):
     start = time.perf_counter()
@@ -509,6 +533,13 @@ def test_requests_just_inside_the_work_limits_are_answered(monkeypatch, capsys):
     assert 2 * 315 * (2 + 315) <= jsonio.MAX_WEYL_TERMS < 2 * 316 * (2 + 316)
     code, out = run_main(["weyl-check", "--N", "315", "--r", "2"], "{}", monkeypatch, capsys)
     assert (code, out) == (0, {"cap": 315, "checked_degrees": 313, "ok": True, "rank": 2})
+    k = jsonio.MAX_EXPONENT  # (x + y)^k dx + (x + y)^k dy
+    code, out = run_main(["kahler", "pullback"], json.dumps(_power_pullback(k)), monkeypatch, capsys)
+    assert code == 0 and [c["index"] for c in out["trace"]["form"]] == [[0], [1]]
+    assert [t["exps"] for t in out["trace"]["form"][0]["coef"]] == [[j, k - j] for j in range(k + 1)]
+    assert 3**8 <= jsonio.MAX_FORM_INDICES < 3**9
+    code, out = run_main(["kahler", "trace"], json.dumps(_one_term_trace(3, 8)), monkeypatch, capsys)
+    assert code == 0 and len(out["form"]) == 3**8
 
 
 @pytest.mark.parametrize("text", ["[]", '"x"', "5", "null"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from azumaya.kahler import (
 )
 from azumaya.poly import MultiPoly
 from azumaya.scalars import gr
-from helpers import rand_scalar
+from helpers import contracted_trace_form, mpoly_matrix_mul, mpoly_mul, rand_scalar
 
 
 V1 = ("z",)
@@ -229,3 +230,75 @@ def test_trace_form_matches_explicit_products():
             for w in forms + [tensor(*forms)]:
                 assert trace_form(w) == _reference_trace_form(w)
     assert zero_partials >= 5
+
+
+# coefficients over 2 and over 3, Gaussian ones, and zero
+WIDE_POOL = [gr(0), gr(1), gr(-1), gr(Fraction(1, 2)), gr(Fraction(-2, 3)), gr(0, 1), gr(Fraction(1, 3), -2),
+             gr(Fraction(5, 6), Fraction(1, 2))]
+VARIABLES = [("z",), ("x", "y"), ("x", "y", "w")]
+
+
+def wide_mpoly(rng, variables, degree=2):
+    if rng.random() < 0.2:
+        return MultiPoly.zero(variables)
+    monos = [e for e in itertools.product(range(degree + 1), repeat=len(variables)) if sum(e) <= degree]
+    return MultiPoly(variables, {e: rng.choice(WIDE_POOL) for e in rng.sample(monos, min(3, len(monos)))})
+
+
+def wide_matrix(rng, r, variables):
+    rows = [[wide_mpoly(rng, variables) for _ in range(r)] for _ in range(r)]
+    if rng.random() < 0.2:
+        rows[rng.randrange(r)] = [MultiPoly.zero(variables)] * r
+    return MPolyMatrix(variables, rows)
+
+
+def test_products_match_the_object_level_oracle():
+    rng = random.Random(61)
+    for r in (1, 2, 3, 4):
+        for variables in VARIABLES:
+            for _ in range(6):
+                a, b = wide_matrix(rng, r, variables), wide_matrix(rng, r, variables)
+                assert a * b == mpoly_matrix_mul(a, b)
+                f, g = a.rows[0][0], b.rows[r - 1][0]
+                assert f * g == mpoly_mul(f, g)
+    x = wide_matrix(rng, 2, V2)
+    assert x * MPolyMatrix.zeros(V2, 2) == MPolyMatrix.zeros(V2, 2) == MPolyMatrix.zeros(V2, 2) * x
+    assert x * MPolyMatrix.identity(V2, 2) == x
+
+
+def test_products_refuse_mismatches_before_any_work():
+    zero_x, zero_y = MPolyMatrix.zeros(("x",), 2), MPolyMatrix.zeros(("y",), 2)
+    with pytest.raises(ValueError, match=r"^variable mismatch: \('x',\) vs \('y',\)$"):
+        zero_x * zero_y
+    with pytest.raises(ValueError, match="^dimension mismatch: 2x2 times 3x3$"):
+        zero_x * MPolyMatrix.zeros(("x",), 3)
+    f, g = MultiPoly.zero(("x",)), MultiPoly.zero(("y",))
+    with pytest.raises(ValueError, match=r"^variable mismatch: \('x',\) vs \('y',\)$"):
+        f * g
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_trace_form_matches_the_contraction_oracle(degree):
+    rng = random.Random(70 + degree)
+    for r in (1, 2, 3) if degree < 3 else (1, 2):
+        for variables in VARIABLES:
+            parts = []
+            for _ in range(degree):
+                w = d(wide_matrix(rng, r, variables)).left_mul(wide_matrix(rng, r, variables))
+                parts.append(w + d(wide_matrix(rng, r, variables)).right_mul(wide_matrix(rng, r, variables)))
+            w = tensor(*parts)
+            assert trace_form(w) == contracted_trace_form(w)
+
+
+def test_pullback_form_matches_the_contraction_oracle():
+    rng = random.Random(74)
+    for r in (1, 2, 3):
+        for variables in VARIABLES:
+            phi = MorphismToAffine(("u", "v"), commuting_pair(rng, r, variables))
+            f = MultiPoly(("u", "v"), {(2, 0): gr(Fraction(1, 3)), (1, 1): gr(0, 2), (0, 3): gr(-1)})
+            w = pullback_form(phi, classical_d(f))
+            assert trace_form(w) == contracted_trace_form(w)
+            images = phi.images
+            assert pullback(phi, f) == (mpoly_matrix_mul(images[0], images[0]) * gr(Fraction(1, 3))
+                                        + mpoly_matrix_mul(images[0], images[1]) * gr(0, 2)
+                                        - mpoly_matrix_mul(mpoly_matrix_mul(images[1], images[1]), images[1]))

@@ -18,7 +18,7 @@ from azumaya.linalg import (
 )
 from azumaya.poly import MultiPoly, UniPoly
 from azumaya.scalars import gr
-from helpers import SMALL_POOL, brute_min_poly, naive_rank, rand_invertible, rand_matrix, rand_scalar
+from helpers import SMALL_POOL, brute_min_poly, cofactor_det, naive_rank, rand_invertible, rand_matrix, rand_scalar
 
 
 z = UniPoly.x("z")
@@ -160,6 +160,30 @@ def test_ring_det_matches_char_poly_determinant():
         # det(m) = (-1)^r * char_poly(m)(0)
         expected = char_poly(m, "z")(0) * gr(-1) ** r
         assert det == MultiPoly.constant(variables, expected)
+
+
+@pytest.mark.parametrize("variables", [("t",), ("z", "lambda"), ("t0", "t1", "t2")])
+def test_ring_det_matches_the_cofactor_oracle(variables):
+    rng = random.Random(len(variables))
+    pool = [gr(0), gr(1), gr(-2), gr(Fraction(1, 2)), gr(Fraction(-1, 3)), gr(0, 1), gr(Fraction(2, 3), 1)]
+    zero, one = MultiPoly.zero(variables), MultiPoly.constant(variables, 1)
+    for r in range(7):
+        for _ in range(3 if r < 6 else 1):
+            grid = [[MultiPoly(variables, {tuple(rng.randrange(3) for _ in variables): rng.choice(pool)
+                                           for _ in range(rng.randrange(3))}) for _ in range(r)] for _ in range(r)]
+            if r > 1 and rng.random() < 0.3:
+                grid[1] = list(grid[0])  # two equal rows: the determinant is zero
+            assert ring_det(grid, zero, one) == cofactor_det(grid, zero, one)
+    assert ring_det([], zero, one) is one
+
+
+def test_ring_det_refusals_keep_their_text():
+    x, y = MultiPoly.variable(("x",), "x"), MultiPoly.variable(("y",), "y")
+    zero, one = MultiPoly.zero(("x",)), MultiPoly.constant(("x",), 1)
+    with pytest.raises(ValueError, match="^determinant of a non-square grid$"):
+        ring_det([[x, x]], zero, one)
+    with pytest.raises(ValueError, match=r"^variable mismatch: \('x',\) vs \('y',\)$"):
+        ring_det([[x, zero], [zero, y]], zero, one)
 
 
 def test_zx_exact_division_refuses_an_inexact_quotient():

@@ -5,13 +5,16 @@
 ROOT is the root of a checkout. The script imports `azumaya` from
 ROOT/src and the workload builders from ROOT/bench, runs each operation of
 the `spectral`, `symbolic` and `requests` workloads at every seed, and
-then of the smoke set that every workload shares, once, and prints
-`bench/run.py`'s `digest` of each output (or the exception it raised).
-Last it prints the exit code and the stdout of
-`cli.main(["scenario", "run-all"])`. It writes no file. Two checkouts give
-the same output exactly when every operation and every scenario answers
-the same, so a change that must keep outputs byte-identical is checked
-with one diff:
+then of the smoke set that every workload shares, once, and then of a
+fixed, seeded group of library calls that no workload reaches (`extra`
+below: `trace_form` of degree-2 and degree-3 tensors, `spectral_curve` at
+r = 6..8, and `conjugacy` of arity-2 pairs at r = 3 and 4, which expands
+`ring_det` in the intertwiner coordinates), and prints `bench/run.py`'s
+`digest` of each output (or the exception it raised). Last it prints the
+exit code and the stdout of `cli.main(["scenario", "run-all"])`. It
+writes no file. Two checkouts give the same output exactly when every
+operation and every scenario answers the same, so a change that must keep
+outputs byte-identical is checked with one diff:
 
     diff <(python3 tools/digest_outputs.py OLD --seeds 901 902 903) \\
          <(python3 tools/digest_outputs.py NEW --seeds 901 902 903)
@@ -22,8 +25,75 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import os
+import random
 import sys
+from fractions import Fraction
+
+COEFFS = [(0, 0), (1, 0), (-1, 0), (2, 0), (0, 1), (0, -1), (Fraction(1, 2), 0), (Fraction(-2, 3), 1)]
+
+
+def extra():
+    """(kind, call) for each library call of the fixed group."""
+    import azumaya as az
+    from azumaya.linalg import solve_exact
+
+    rng = random.Random("digest-extra")
+
+    def scalar():
+        return az.gr(*rng.choice(COEFFS))
+
+    def mpoly_matrix(variables, r, degree=2):
+        monos = [e for e in itertools.product(range(degree + 1), repeat=len(variables)) if sum(e) <= degree]
+        return az.MPolyMatrix(variables, [[az.MultiPoly(variables, {e: scalar() for e in rng.sample(monos, 3)})
+                                           if rng.random() < 0.8 else 0 for _ in range(r)] for _ in range(r)])
+
+    def tensor_form(variables, r, degree):
+        parts = []
+        for _ in range(degree):
+            w = az.d(mpoly_matrix(variables, r)).left_mul(mpoly_matrix(variables, r))
+            parts.append(w + az.d(mpoly_matrix(variables, r)).right_mul(mpoly_matrix(variables, r)))
+        return az.tensor(*parts)
+
+    def phi(r):
+        return az.PolyMatrix([[az.UniPoly("z", [scalar() for _ in range(3)]) for _ in range(r)] for _ in range(r)])
+
+    def point(*ms):
+        return az.RepPoint(("x", "y"), ms)
+
+    def conjugate_pair(*ms):
+        """ms and its conjugate by a seeded unit-triangular g with its rows permuted."""
+        r = ms[0].nrows
+        rows = [[az.gr(1) if i == j else scalar() if j > i else az.gr(0) for j in range(r)] for i in range(r)]
+        rng.shuffle(rows)
+        g = az.Matrix(rows)
+        ginv = solve_exact(g, az.Matrix.identity(r))
+        return point(*ms), point(*(g * m * ginv for m in ms))
+
+    def unit(i, j):
+        """The 3x3 matrix unit E_ij."""
+        return az.Matrix([[int((a, b) == (i, j)) for b in range(3)] for a in range(3)])
+
+    calls = []
+    for variables, r, degree in [(("x", "y"), 2, 2), (("x", "y", "w"), 1, 2), (("x",), 3, 2),
+                                 (("x", "y"), 1, 3), (("x", "y"), 2, 3)]:
+        w = tensor_form(variables, r, degree)
+        calls.append(("trace_form", lambda w=w: az.trace_form(w)))
+    for r in (6, 7, 8):
+        p = phi(r)
+        calls.append(("spectral_curve", lambda p=p: az.spectral_curve(p)))
+    a3 = az.Matrix([[scalar() for _ in range(3)] for _ in range(3)])
+    nil = az.Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    ident = az.Matrix.identity(3)
+    pairs = [conjugate_pair(a3, a3 * a3 + a3 * scalar()),
+             conjugate_pair(az.Matrix.diag([1, 1, 2, 2]), az.Matrix.diag([0, 0, 3, az.gr(0, 1)])),
+             conjugate_pair(nil, nil * nil),
+             (point(ident, az.Matrix.diag([1, 1, 2])), point(ident, az.Matrix.diag([2, 1, 1]))),
+             (point(unit(0, 1), unit(0, 2)), point(unit(0, 1), unit(2, 1)))]  # not conjugate
+    for t1, t2 in pairs:
+        calls.append(("conjugacy", lambda t1=t1, t2=t2: az.conjugacy(t1, t2)))
+    return calls
 
 
 def main(argv=None) -> int:
@@ -40,17 +110,18 @@ def main(argv=None) -> int:
     import symbolic
     from run import digest
 
-    groups = [(f"{name} {seed}", build(seed)) for seed in args.seeds
+    groups = [(f"{name} {seed}", [(op.kind, op.fn) for op in build(seed)]) for seed in args.seeds
               for name, build in (("spectral", spectral.build), ("symbolic", symbolic.build),
                                   ("requests", cli_requests.build))]
-    groups.append(("smoke", cli_requests.smoke()))
-    for label, ops in groups:
-        for i, op in enumerate(ops):
+    groups.append(("smoke", [(op.kind, op.fn) for op in cli_requests.smoke()]))
+    groups.append(("extra", extra()))
+    for label, calls in groups:
+        for i, (kind, fn) in enumerate(calls):
             try:
-                out = digest(op.fn())
+                out = digest(fn())
             except Exception as exc:  # an operation's refusal is part of its answer
                 out = ("raised", type(exc).__name__, str(exc))
-            print(f"{label} {i} {op.kind}: {out!r}")
+            print(f"{label} {i} {kind}: {out!r}")
     from azumaya import cli
 
     with contextlib.redirect_stdout(io.StringIO()) as text:
