@@ -74,7 +74,9 @@ def run_image(payload):
         return {"var": t.vars[0], "min_poly": jsonio.unipoly_json(p)}
     bound = payload.get("degree_bound")
     d = t.r if bound is None else jsonio.parse_int(bound, "degree_bound")
-    if d >= 0 and (d > jsonio.MAX_MONOMIALS or comb(t.arity + d, d) > jsonio.MAX_MONOMIALS):
+    if d < 0:
+        raise InputError(f"image: degree_bound must be nonnegative, not {d}")
+    if d > jsonio.MAX_MONOMIALS or comb(t.arity + d, d) > jsonio.MAX_MONOMIALS:
         raise InputError(f"image: the monomials of degree <= {d} in {t.arity} variables "
                          f"exceed the limit of {jsonio.MAX_MONOMIALS}")
     basis = vanishing_ideal(t, d)

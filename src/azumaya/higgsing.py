@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import NonConstantA, SolvabilityViolated, SpectrumNotSplit
 from .linalg import Matrix, char_poly, ring_det
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly, UniPoly, _zx_addmul
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
@@ -128,7 +128,7 @@ def ode_residual(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
     """lam * dB/dz + A*B - B*A in b's variable; b solves the system iff
     this is zero.  One pass over Z[i][z]: lam, A and b are cleared to one
     denominator d, and each entry of d^2 times the residual is summed in
-    two int lists from convolutions of coefficient lists."""
+    two int lists by the dense product `poly._zx_addmul`."""
     a, n = p.a, b.nrows
     if n != a.nrows:
         raise ValueError("dimension mismatch")
@@ -136,25 +136,19 @@ def ode_residual(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
         raise ValueError(f"variable mismatch: {a.var} vs {b.var}")
     polys = [e.coeffs for m in (a, b) for row in m.rows for e in row]
     d, pairs = clear_denominators([p.lam, *(c for cs in polys for c in cs)])
-    (lr, li), it = pairs[0], iter(pairs[1:])
+    lam, it = pairs[0], iter(pairs[1:])
     ints = [[next(it) for _ in cs] for cs in polys]
     ia, ib = ([ints[i:i + n] for i in range(o, o + n * n, n)] for o in (0, n * n))
-    neg = [[[(-x, -y) for x, y in e] for e in row] for row in ia]  # B*(-A) is summed
     size = max(map(len, ints[:n * n])) + max(map(len, ints[n * n:])) - 1  # holds B' too
     d2, rows = d * d, []
     for i in range(n):
         row = []
         for k in range(n):
             re, im = [0] * size, [0] * size
-            for t, (x, y) in enumerate(ib[i][k][1:], 1):  # lam * t * B_t at z^(t-1)
-                re[t - 1], im[t - 1] = t * (lr * x - li * y), t * (lr * y + li * x)
-            for j in range(2 * n):  # A*B, then B*(-A)
-                u, v = (ia[i][j], ib[j][k]) if j < n else (ib[i][j - n], neg[j - n][k])
-                for s, (x, y) in enumerate(u):
-                    if x or y:
-                        for t, (c, e) in enumerate(v, s):
-                            re[t] += x * c - y * e
-                            im[t] += x * e + y * c
+            _zx_addmul(re, im, [lam], [(t * x, t * y) for t, (x, y) in enumerate(ib[i][k][1:], 1)])  # lam B'
+            for j in range(n):
+                _zx_addmul(re, im, ia[i][j], ib[j][k])
+                _zx_addmul(re, im, ib[i][j], ia[j][k], -1)
             cs = []
             if any(re) or any(im):
                 cs = [from_pair(x, y, d2) if x or y else ZERO for x, y in zip(re, im)]

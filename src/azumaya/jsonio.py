@@ -262,8 +262,11 @@ def parse_support(obj) -> SupportLengthData:
         raise InputError("support-length data is a list of {point, length}")
     entries = []
     for e in obj:
-        entries.append((tuple(parse_scalar(x) for x in parse_array(e["point"], "point")),
-                        parse_int(e["length"], "length")))
+        try:
+            entries.append((tuple(parse_scalar(x) for x in parse_array(e["point"], "point")),
+                            parse_int(e["length"], "length")))
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"bad support entry {e!r}") from exc
     return build(SupportLengthData, entries)
 
 

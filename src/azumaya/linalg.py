@@ -6,7 +6,8 @@ subclass `kahler.MPolyMatrix`); the subclasses only coerce their entries
 and add domain methods.  Rank and the characteristic polynomial share one
 one-step Bareiss (fraction-free) elimination, each with its ring's step:
 rank over Q(i), char_poly over Z[i][x] after each row of x*I - m is
-cleared of its denominators, so no rational-function entries ever appear.
+cleared of its denominators, so no rational-function entries ever appear
+(its products are the dense Z[i] product of `poly`).
 min_poly runs its Krylov chains over Z[i] too, on the matrix cleared of
 its denominators once, with a fraction-free incremental echelon.  Kernels
 and solves use reduced row echelon form over the field.  ring_det, the
@@ -20,7 +21,7 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .poly import MultiPoly, UniPoly, _zi_addmul, _zi_cleared, _zi_multi
+from .poly import MultiPoly, UniPoly, _zi_addmul, _zi_cleared, _zi_multi, _zx_addmul
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
@@ -382,35 +383,15 @@ def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
     return UniPoly._new(var, tuple(from_pair(re, im, scale) for re, im in a[n - 1][n - 1]))
 
 
-# Polynomials over Z[i] for char_poly: lists of (re, im) int pairs, lowest
-# degree first, with no trailing (0, 0); the zero polynomial is [].
-
-
 def _zx_step(x, p, f, t, prev):
-    """(x * p - f * t) / prev over Z[i][x]; prev has a positive integer
-    leading coefficient."""
+    """(x * p - f * t) / prev over Z[i][x], in the dense lists of `poly`;
+    prev has a positive integer leading coefficient."""
     n = max(len(x) + len(p) if x else 1, len(f) + len(t) if f and t else 1) - 1
     if not n:
         return []
     re, im = [0] * n, [0] * n
-    for i, (a, b) in enumerate(x):
-        if b:
-            for k, (c, d) in enumerate(p, i):
-                re[k] += a * c - b * d
-                im[k] += a * d + b * c
-        else:  # a real coefficient skips the cross terms
-            for k, (c, d) in enumerate(p, i):
-                re[k] += a * c
-                im[k] += a * d
-    for i, (a, b) in enumerate(f):  # the same, subtracted
-        if b:
-            for k, (c, d) in enumerate(t, i):
-                re[k] -= a * c - b * d
-                im[k] -= a * d + b * c
-        else:
-            for k, (c, d) in enumerate(t, i):
-                re[k] -= a * c
-                im[k] -= a * d
+    _zx_addmul(re, im, x, p)
+    _zx_addmul(re, im, f, t, -1)
     while n and not (re[n - 1] or im[n - 1]):
         n -= 1
     return _zx_exact_div(re[:n], im[:n], prev)

@@ -5,9 +5,13 @@ leading coefficient nonzero (the zero polynomial is the empty tuple).
 ``MultiPoly`` keeps a map from exponent tuples to nonzero coefficients;
 the canonical term order is graded lexicographic on the declared variable
 order (serialization lists terms by ascending (total degree, exponents)).
-Multivariate products run in integer passes over Z[i][z_1..z_n] (see
-``_zi_addmul``), shared by the matrix products and the trace contraction of
-``kahler`` and by ``linalg.ring_det``.
+Products run in integer passes over Z[i].  A dense polynomial over Z[i]
+is a list of ``(re, im)`` int pairs, lowest degree first; ``_zx_addmul`` is
+its one product, shared by ``UniPoly.__mul__``, ``linalg.char_poly``,
+``higgsing.ode_residual`` and the Cantor-Zassenhaus step of ``roots``.
+Multivariate products over Z[i][z_1..z_n] go through ``_zi_addmul``, shared
+by the matrix products and the trace contraction of ``kahler`` and by
+``linalg.ring_det``.
 
 The public constructors coerce and validate their input.  Arithmetic
 results are already canonical and go through the trusted ``_new`` of each
@@ -142,20 +146,12 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly._new(var, ())
-        if len(b) == 1:  # a nonzero constant factor
-            c = b[0]
-            return UniPoly._new(var, tuple([x * c for x in a]))
-        if len(a) == 1:
-            c = a[0]
-            return UniPoly._new(var, tuple([c * y for y in b]))
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b, i):
-                out[j] = out[j] + x * y
+        den, pairs = clear_denominators(a + b)
+        re, im = [0] * (len(a) + len(b) - 1), [0] * (len(a) + len(b) - 1)
+        _zx_addmul(re, im, pairs[:len(a)], pairs[len(a):])
+        d2 = den * den
         # the product of the two leading coefficients is nonzero
-        return UniPoly._new(var, tuple(out))
+        return UniPoly._new(var, tuple([from_pair(x, y, d2) if x or y else ZERO for x, y in zip(re, im)]))
 
     __rmul__ = __mul__
 
@@ -481,14 +477,42 @@ class MultiPoly:
     __repr__ = __str__
 
 
-# Polynomials over Z[i] for the integer passes: dicts from packed exponents to
-# (re, im) int pairs.  The operands of a computation are cleared to one
-# denominator once, products are added into an accumulator, and the result
-# comes back with one from_pair per coefficient.  The exponents (e_1..e_n)
+# Polynomials over Z[i] for the integer passes.  The operands of a
+# computation are cleared to one denominator once, products are added into
+# an accumulator, and the result comes back with one from_pair per
+# coefficient.  A dense univariate one is a list of (re, im) int pairs,
+# lowest degree first, with no trailing (0, 0) (the zero polynomial is []);
+# its accumulator is two int lists, re and im.  A sparse multivariate one is
+# a dict from packed exponents to (re, im) pairs: the exponents (e_1..e_n)
 # pack into the int sum_i e_i * 2^(w*i) (Kronecker substitution; von zur
 # Gathen & Gerhard, Modern Computer Algebra, section 8.4), so the product of
 # two monomials is the sum of two ints, with no carry while every exponent
 # stays below 2^w.  An accumulator may hold pairs that cancelled to (0, 0).
+
+
+def _zx_addmul(re, im, u, v, sign=1):
+    """Add sign * u * v, for sign 1 or -1, into the coefficients re + im*i
+    (two int lists, long enough) of a dense polynomial over Z[i], for u and
+    v lists of (re, im) pairs, lowest degree first.  A zero coefficient of u
+    is skipped and a real one skips the cross terms.  The indices are
+    counted by hand, which is cheaper than enumerate on the short lists of
+    most products."""
+    i = 0
+    for a, b in u:
+        if sign < 0:
+            a, b = -a, -b
+        k = i
+        if b:
+            for c, d in v:
+                re[k] += a * c - b * d
+                im[k] += a * d + b * c
+                k += 1
+        elif a:
+            for c, d in v:
+                re[k] += a * c
+                im[k] += a * d
+                k += 1
+        i += 1
 
 
 def _zi_cleared(polys, factors: int = 2):

@@ -14,8 +14,7 @@ by Cantor-Zassenhaus, whose cost grows with log q rather than q^2.  Each
 is Newton-lifted past twice a Cauchy bound and kept if g vanishes on it
 exactly.  Each is a simple root mod q and lifts uniquely, so none is
 missed: a factor of p left after deflating by every root has no root in
-Q(i), and SpectrumNotSplit names it.  Gaussian integers are (a, b) int
-pairs; polynomials over them are lists of pairs, lowest degree first.
+Q(i), and SpectrumNotSplit names it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from itertools import islice, product
 from math import isqrt
 
 from .errors import SpectrumNotSplit
-from .poly import UniPoly
+from .poly import UniPoly, _zx_addmul
 from .scalars import GaussianRational, ZERO, clear_denominators
 
 # a monic g squarefree mod one of this many first primes q = 3 (mod 4)
@@ -93,10 +92,7 @@ def _powmod(f, e, h, q):
     """f^e mod h over F_{q^2}, by repeated squaring."""
     def mulmod(u, v):
         re, im = [0] * (len(u) + len(v) - 1), [0] * (len(u) + len(v) - 1)
-        for i, (a, b) in enumerate(u):
-            for j, (c, d) in enumerate(v):
-                re[i + j] += a * c - b * d
-                im[i + j] += a * d + b * c
+        _zx_addmul(re, im, u, v)
         return _divmod(list(zip(re, im)), h, q)[1]
     out = [(1, 0)]
     while e:

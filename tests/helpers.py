@@ -171,9 +171,25 @@ def naive_rank(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# object-level polynomial-matrix arithmetic over GaussianRationals: the
-# products, the determinant and the trace contraction that the integer
-# passes over Z[i][z_1..z_n] replaced
+# object-level polynomial arithmetic over GaussianRationals: the products,
+# the determinant and the trace contraction that the integer passes over
+# Z[i][z] and Z[i][z_1..z_n] replaced
+
+
+def unipoly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
+    """p * q coefficient by coefficient, one GaussianRational product per
+    pair of coefficients; a constant takes the other operand's variable."""
+    if p.var == q.var or q.degree < 1:
+        var = p.var
+    elif p.degree < 1:
+        var = q.var
+    else:
+        raise ValueError(f"variable mismatch: {p.var} vs {q.var}")
+    out = [ZERO] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, x in enumerate(p.coeffs):
+        for j, y in enumerate(q.coeffs, i):
+            out[j] = out[j] + x * y
+    return UniPoly(var, out)
 
 
 def mpoly_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:

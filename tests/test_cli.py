@@ -369,13 +369,19 @@ def test_integer_field_limit(monkeypatch, capsys):
         (["kahler", "pullback"], {"phi": {"target_vars": ["a"], "source_vars": ["x"], "images": [
             {"vars": ["y"], "entries": [[[{"exps": [1], "coef": 1}]]]}]}, "form": [[{"exps": [1], "coef": 1}]]},
          "matrix variables ('y',) differ from ('x',)"),
+        (["image"], {"vars": ["x", "y"], "matrices": [[[1]], [[2]]], "degree_bound": -1},
+         "image: degree_bound must be nonnegative, not -1"),
+        # a support entry that is not {point, length} is quoted, not named by Python's error text
+        (["orbit-extremes"], {"support": [[1, 0]]}, "bad support entry [1, 0]"),
+        (["orbit-extremes"], {"support": [{"point": [1]}]}, "bad support entry {'point': [1]}"),
     ],
     ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda",
          "higgs-bhat-length", "curve-var-lambda", "higgs-bhat-string", "image-vars-string",
          "relator-exps-string", "orbit-point-string", "orbit-partition-string", "pullback-target-vars-string",
          "curve-row-string", "image-vars-repeated", "presentation-vars-repeated", "form-vars-repeated",
          "pullback-source-vars-repeated", "pullback-target-vars-repeated", "form-matrix-vars-repeated",
-         "form-r-negative", "form-degree-negative", "form-matrix-vars-differ", "pullback-image-vars-differ"],
+         "form-r-negative", "form-degree-negative", "form-matrix-vars-differ", "pullback-image-vars-differ",
+         "image-degree-bound-negative", "support-entry-not-object", "support-entry-no-length"],
 )
 def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
     code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from azumaya.linalg import Matrix
-from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
+from azumaya.poly import MultiPoly, UniPoly, _zx_addmul, monomials_up_to
 from azumaya.scalars import GaussianRational, gr
-from helpers import rand_matrix, rand_scalar
+from helpers import SMALL_POOL, rand_matrix, rand_scalar, unipoly_mul
 
 
 z = UniPoly.x("z")
@@ -160,6 +160,48 @@ def _assert_canonical_uni(p, var):
     assert all(type(c) is GaussianRational for c in p.coeffs)
     assert p.coeffs == UniPoly(p.var, p.coeffs).coeffs
     assert not p.coeffs or not p.coeffs[-1].is_zero()
+
+
+WIDE_POOL = SMALL_POOL + [gr(3, -5), gr(Fraction(-2, 3), Fraction(5, 7)), gr(0, Fraction(1, 4)),
+                          gr(Fraction(7, 6)), gr(-4, 1)]
+
+
+def test_products_match_the_object_level_oracle():
+    rng = random.Random(29)
+
+    def poly(var, max_deg, pool):
+        return UniPoly(var, [rand_scalar(rng, pool) for _ in range(rng.randrange(0, max_deg + 2))])
+
+    zero, five_w = UniPoly.zero("w"), UniPoly.constant(gr(5, -1), "w")
+    cases = [(zero, z), (z, zero), (zero, zero), (five_w, z * z - 1), (z - 1, five_w), (five_w, five_w),
+             (z + 1, z - 1), (z - gr(0, 1), z + gr(0, 1)), (UniPoly("z", [gr(Fraction(1, 2)), gr(0, 1)]),) * 2]
+    for pool in (SMALL_POOL, WIDE_POOL):
+        for max_deg in (0, 1, 3, 6):
+            cases += [(poly("z", max_deg, pool), poly(rng.choice("zw") if max_deg == 0 else "z", 4, pool))
+                      for _ in range(25)]
+    for a, b in cases:
+        got, want = a * b, unipoly_mul(a, b)
+        _assert_canonical_uni(got, want.var)
+        assert got.coeffs == want.coeffs
+    with pytest.raises(ValueError, match="^variable mismatch: z vs v$"):
+        z * UniPoly.x("v")
+
+
+def test_zx_addmul_adds_sign_times_the_product_into_the_accumulator():
+    u = [(1, 2), (3, 0), (0, 0), (0, -1)]  # 1+2i + 3z - i z^3
+    v = [(2, -1), (-4, 0), (5, 3)]
+    start_re, start_im = [7, -1, 0, 2, 9, 4, 6], [-7, 3, 1, 0, -2, 5, 8]
+    want = [GaussianRational(0)] * 7
+    for i, x in enumerate(u):
+        for j, y in enumerate(v, i):
+            want[j] += gr(*x) * gr(*y)
+    for sign in (1, -1):
+        re, im = list(start_re), list(start_im)
+        _zx_addmul(re, im, u, v, sign)
+        assert [gr(x, y) for x, y in zip(re, im)] == [gr(x, y) + sign * w
+                                                       for x, y, w in zip(start_re, start_im, want)]
+        _zx_addmul(re, im, v, u, -sign)  # the product commutes, so this undoes it
+        assert (re, im) == (start_re, start_im)
 
 
 def _assert_canonical_multi(p, variables):

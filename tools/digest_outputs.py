@@ -8,13 +8,18 @@ the `spectral`, `symbolic` and `requests` workloads at every seed, and
 then of the smoke set that every workload shares, once, and then of a
 fixed, seeded group of library calls that no workload reaches (`extra`
 below: `trace_form` of degree-2 and degree-3 tensors, `spectral_curve` at
-r = 6..8, and `conjugacy` of arity-2 pairs at r = 3 and 4, which expands
-`ring_det` in the intertwiner coordinates), and prints `bench/run.py`'s
-`digest` of each output (or the exception it raised). Last it prints the
-exit code and the stdout of `cli.main(["scenario", "run-all"])`. It
-writes no file. Two checkouts give the same output exactly when every
-operation and every scenario answers the same, so a change that must keep
-outputs byte-identical is checked with one diff:
+r = 6..8, `conjugacy` of arity-2 pairs at r = 3 and 4, which expands
+`ring_det` in the intertwiner coordinates, `split_roots` of squarefree
+polynomials with two roots 3 * 7 * 11 apart, so that no prime below 19
+serves and the roots mod q come from Cantor-Zassenhaus, one of them with a
+factor x^2 - 2 that does not split, and `ode_residual` with a polynomial
+A, against random B and against the closed-form B of non-constant a_i),
+and prints `bench/run.py`'s `digest` of each output (or the exception it
+raised). Last it prints the exit code and the stdout of
+`cli.main(["scenario", "run-all"])`. It writes no file. Two checkouts
+give the same output exactly when every operation and every scenario
+answers the same, so a change that must keep outputs byte-identical is
+checked with one diff:
 
     diff <(python3 tools/digest_outputs.py OLD --seeds 901 902 903) \\
          <(python3 tools/digest_outputs.py NEW --seeds 901 902 903)
@@ -37,6 +42,7 @@ COEFFS = [(0, 0), (1, 0), (-1, 0), (2, 0), (0, 1), (0, -1), (Fraction(1, 2), 0),
 def extra():
     """(kind, call) for each library call of the fixed group."""
     import azumaya as az
+    from azumaya.higgsing import _formula_solutions
     from azumaya.linalg import solve_exact
 
     rng = random.Random("digest-extra")
@@ -56,8 +62,18 @@ def extra():
             parts.append(w + az.d(mpoly_matrix(variables, r)).right_mul(mpoly_matrix(variables, r)))
         return az.tensor(*parts)
 
-    def phi(r):
-        return az.PolyMatrix([[az.UniPoly("z", [scalar() for _ in range(3)]) for _ in range(r)] for _ in range(r)])
+    def phi(r, degree=2):
+        return az.PolyMatrix([[az.UniPoly("z", [scalar() for _ in range(degree + 1)]) for _ in range(r)]
+                              for _ in range(r)])
+
+    def colliding_roots(k):
+        """k distinct roots in Q(i), the last one the first plus 3 * 7 * 11."""
+        roots = []
+        while len(roots) < k - 1:
+            x = az.gr(rng.randint(-9, 9), rng.randint(-9, 9)) / rng.choice([1, 1, 2, 3])
+            if x not in roots:
+                roots.append(x)
+        return roots + [roots[0] + 231]
 
     def point(*ms):
         return az.RepPoint(("x", "y"), ms)
@@ -93,6 +109,15 @@ def extra():
              (point(unit(0, 1), unit(0, 2)), point(unit(0, 1), unit(2, 1)))]  # not conjugate
     for t1, t2 in pairs:
         calls.append(("conjugacy", lambda t1=t1, t2=t2: az.conjugacy(t1, t2)))
+    for k in (3, 4, 6):
+        p = az.UniPoly.from_roots(colliding_roots(k), "x")
+        calls.append(("split_roots", lambda p=p: az.split_roots(p)))
+    p = az.UniPoly.from_roots(colliding_roots(4), "x") * az.UniPoly("x", [-2, 0, 1])
+    calls.append(("split_roots", lambda p=p: az.split_roots(p)))
+    for degree in (1, 2, 3):
+        problem = az.HiggsProblem(phi(2, degree), scalar() or az.gr(3))
+        for b in (phi(2, degree + 1), *_formula_solutions(*problem.a.rows[0], *problem.a.rows[1], problem.lam, "z")):
+            calls.append(("ode_residual", lambda problem=problem, b=b: az.ode_residual(problem, b)))
     return calls
 
 
