@@ -18,8 +18,8 @@ the ODE, so the closed forms insist on a constant A.
 from __future__ import annotations
 
 from .errors import NonConstantA, SolvabilityViolated, SpectrumNotSplit
-from .linalg import Matrix, char_poly, ring_det
-from .poly import MultiPoly, UniPoly, _zx_addmul
+from .linalg import Matrix, _berkowitz, char_poly
+from .poly import MultiPoly, UniPoly, _zx_addmul, _zx_dot
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
@@ -84,18 +84,20 @@ def spectral_curve(phi: PolyMatrix, eig_var: str = "lambda") -> MultiPoly:
 
     Every exact point of the graph lands on this curve: when Phi(z0) has
     split spectrum, its eigenvalues are exactly the roots of the curve
-    sliced at z0.
+    sliced at z0.  Phi is cleared once to den * Phi over Z[i][z], and
+    `linalg._berkowitz` runs on it with the dense dot product
+    `poly._zx_dot`; the coefficient of lam^k is divided by den^(r-k) once.
     """
     if phi.var == eig_var:
         raise ValueError(f"the eigenvalue variable {eig_var!r} is also the matrix variable")
-    variables = (phi.var, eig_var)
-    zero = MultiPoly.zero(variables)
-    v = MultiPoly.variable(variables, eig_var)
-    grid = [
-        [(v if i == j else zero) - e.as_multi(variables, 0) for j, e in enumerate(row)]
-        for i, row in enumerate(phi.rows)
-    ]
-    return ring_det(grid, zero, MultiPoly.constant(variables, ONE))
+    r = phi.nrows
+    polys = [e.coeffs for row in phi.rows for e in row]
+    den, pairs = clear_denominators([c for cs in polys for c in cs])
+    it = iter(pairs)
+    grid = [[[next(it) for _ in cs] for cs in polys[i * r:i * r + r]] for i in range(r)]
+    c = _berkowitz(grid, _zx_dot, lambda f: [(-a, -b) for a, b in f], [(1, 0)])
+    return MultiPoly._new((phi.var, eig_var), {(e, r - j): from_pair(re, im, den ** j) for j, f in enumerate(c)
+                                               for e, (re, im) in enumerate(f) if re or im})
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,13 @@ def parse_array(value, field: str) -> list:
     return value
 
 
+def parse_var(value) -> str:
+    """The name in the 'var' field of a polynomial or polynomial matrix."""
+    if not isinstance(value, str):
+        raise InputError(f"field 'var' is not a string: {value!r:.40}")
+    return value
+
+
 def parse_names(value, field: str) -> tuple:
     """The variable names of an array field, as strings.  A repeated name is
     refused: it would stand for two coordinates at once."""
@@ -191,7 +198,7 @@ def matrix_json(m: Matrix):
 
 def parse_unipoly(obj, var: str = "z") -> UniPoly:
     if isinstance(obj, dict):
-        var = obj.get("var", var)
+        var = parse_var(obj.get("var", var))
         obj = obj.get("coeffs", [])
     if not isinstance(obj, list):
         raise InputError("a univariate polynomial is a coefficient array, lowest first")
@@ -400,7 +407,7 @@ def cycle_json(cyc: WeightedCycle):
 
 def parse_poly_matrix(obj, var: str = "z") -> PolyMatrix:
     if isinstance(obj, dict):
-        var = obj.get("var", var)
+        var = parse_var(obj.get("var", var))
         obj = obj.get("entries")
     if not isinstance(obj, list) or not obj:
         raise InputError("a polynomial matrix is a nested array of coefficient arrays")

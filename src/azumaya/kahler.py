@@ -18,7 +18,7 @@ exposed as an oracle.
 from __future__ import annotations
 
 from .linalg import Matrix, commute
-from .poly import MultiPoly, _zi_addmul, _zi_cleared, _zi_multi
+from .poly import MultiPoly, _zi_adddot, _zi_cleared, _zi_multi
 from .scalars import GaussianRational, ONE
 
 
@@ -333,7 +333,7 @@ def _accumulate(coeffs, acc, slots, idx):
             _accumulate(coeffs, _zi_matmul(_zi_matmul(acc, dpart), post), slots[1:], idx + (k,))
         else:
             key = idx + (k,)
-            coeffs[key] = _zi_dot(coeffs.get(key, {}), [f for row in dpart for f in row], q)
+            coeffs[key] = _zi_adddot(coeffs.get(key, {}), [f for row in dpart for f in row], q)
 
 
 def _zi_grids(mats, factors: int = 2):
@@ -355,18 +355,10 @@ def _zi_partial(f, shift: int, mask: int):
     return out
 
 
-def _zi_dot(acc, u, v):
-    """acc plus the sum of the products of u and v entry by entry, Z[i]
-    polynomials all, with the cancelled terms dropped."""
-    for f, g in zip(u, v):
-        _zi_addmul(acc, f, g)
-    return {e: x for e, x in acc.items() if x[0] or x[1]}
-
-
 def _zi_matmul(a, b):
     """The product of two grids of Z[i] polynomials."""
     cols = list(zip(*b))
-    return [[_zi_dot({}, row, col) for col in cols] for row in a]
+    return [[_zi_adddot({}, row, col) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,17 @@
 `Matrix` is the one dense matrix type.  Its entries lie in Q(i), in
 Q(i)[z] (the subclass `higgsing.PolyMatrix`) or in Q(i)[z_1..z_n] (the
 subclass `kahler.MPolyMatrix`); the subclasses only coerce their entries
-and add domain methods.  Rank and the characteristic polynomial share one
-one-step Bareiss (fraction-free) elimination, each with its ring's step:
-rank over Q(i), char_poly over Z[i][x] after each row of x*I - m is
-cleared of its denominators, so no rational-function entries ever appear
-(its products are the dense Z[i] product of `poly`).
-min_poly runs its Krylov chains over Z[i] too, on the matrix cleared of
-its denominators once, with a fraction-free incremental echelon.  Kernels
-and solves use reduced row echelon form over the field.  ring_det, the
-determinant of a grid of multivariate polynomials, clears the grid once
-and expands its cofactors over Z[i][z_1..z_n] with the integer kernel of
-`poly`.
+and add domain methods.  Rank is a one-step Bareiss (fraction-free)
+elimination over Q(i).  Every determinant is one division-free recurrence,
+Berkowitz's (`_berkowitz`), run over integers after the input is cleared
+of its denominators once: char_poly over Z[i], `higgsing.spectral_curve`
+over the dense Z[i][z] lists of `poly`, and ring_det, the determinant of a
+grid of multivariate polynomials, over the sparse Z[i][z_1..z_n] dicts of
+`poly`.  Each passes its ring's dot product, the one place where the
+recurrence multiplies.  min_poly runs its Krylov chains over Z[i] too, on
+the matrix cleared of its denominators once, with a fraction-free
+incremental echelon.  Kernels and solves use reduced row echelon form over
+the field.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .poly import MultiPoly, UniPoly, _zi_addmul, _zi_cleared, _zi_multi, _zx_addmul
+from .poly import MultiPoly, UniPoly, _zi_adddot, _zi_cleared, _zi_multi
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
 
@@ -151,8 +151,10 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        if k == 0:
-            return Matrix.identity(self.nrows)
+        if k == 0:  # the identity over the entry ring, whose elements all have x ** 0 and x * 0
+            e = self.rows[0][0] if self.rows else ONE
+            one, zero = e ** 0, e * 0
+            return self._new([one if i == j else zero for j in range(self.nrows)] for i in range(self.nrows))
         out, base = None, self
         while True:  # binary powering; no product by the identity, no square past the top bit
             if k & 1:
@@ -220,21 +222,22 @@ def commute(mats) -> bool:
 # elimination
 
 
-def _bareiss(a, ncols: int, one, step):
-    """One-step Bareiss (fraction-free) elimination of the grid a, in place.
+def _bareiss(a, ncols: int):
+    """One-step Bareiss (fraction-free) elimination of the grid a over
+    Q(i), in place.
 
-    Column by column, the first nonzero (truthy) entry p at or below the
-    current row is the pivot, and every entry x below and right of it
-    becomes step(x, p, f, t, prev) = (x * p - f * t) / prev, with f the
-    entry of x's row in the pivot column, t the entry of the pivot row in
-    x's column and prev the pivot before (`one` at the start).  Over an
-    integral domain each division is exact (Cohen, A Course in
-    Computational Algebraic Number Theory, section 2.2); `step` is the
-    ring's own.  Entries left of a pivot are not cleared, as nothing reads
-    them again.  Returns the rank.
+    Column by column, the first nonzero entry p at or below the current row
+    is the pivot, and every entry x below and right of it becomes
+    (x * p - f * t) / prev, with f the entry of x's row in the pivot
+    column, t the entry of the pivot row in x's column and prev the pivot
+    before (1 at the start).  Each division is exact over the integral
+    domain the entries generate (Cohen, A Course in Computational Algebraic
+    Number Theory, section 2.2), so the entries stay minors of the input.
+    Entries left of a pivot are not cleared, as nothing reads them again.
+    Returns the rank.
     """
     nr = len(a)
-    prev = one
+    prev = ONE
     r = 0
     for c in range(ncols):
         if r == nr:
@@ -249,19 +252,15 @@ def _bareiss(a, ncols: int, one, step):
             row = a[i]
             f = row[c]
             for j in range(c + 1, ncols):
-                row[j] = step(row[j], p, f, top[j], prev)
+                row[j] = (row[j] * p - f * top[j]) / prev
         prev = p
         r += 1
     return r
 
 
-def _qi_step(x, p, f, t, prev):
-    return (x * p - f * t) / prev
-
-
 def rank(m: Matrix) -> int:
     """Rank by Bareiss elimination over Q(i)."""
-    return _bareiss([list(r) for r in m.rows], m.ncols, ONE, _qi_step)
+    return _bareiss([list(r) for r in m.rows], m.ncols)
 
 
 def kernel_chain(n: Matrix, dim: int):
@@ -356,70 +355,54 @@ def solve_exact(a: Matrix, b: Matrix) -> Matrix:
 # characteristic and minimal polynomials
 
 
-def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
-    """det(x*I - m), by Bareiss elimination over Z[i][x].
+def _berkowitz(a, dot, neg, one):
+    """The coefficients of det(x*I - a), highest degree first, for a square
+    grid a over a commutative ring: `dot` is the ring's dot product (the
+    sum of the products of two sequences entry by entry, up to the end of
+    the shorter), `neg` its negation and `one` its one.
 
-    Row i of x*I - m is first multiplied by d_i, the lcm of the
-    denominators in row i of m, so every entry lies in Z[i][x].  The k-th
-    pivot is then d_1...d_k times the leading principal k x k minor of
-    x*I - m, a monic polynomial of degree k: no row is ever swapped, and
-    the last pivot is d_1...d_n times the determinant, divided out once.
+    Berkowitz's division-free recurrence (Inform. Process. Lett. 18, 1984;
+    after Samuelson, 1942).  With a_k the leading k x k block of a, R the
+    first k entries of row k and S those of column k, the characteristic
+    polynomial of a_(k+1) is T p, for p that of a_k and T the lower
+    triangular Toeplitz matrix with first column 1, -a[k][k], -R S,
+    -R a_k S, ..., -R a_k^(k-1) S.  About n^4 / 4 ring products, all
+    taken by `dot`, and no division.
+    """
+    p = [one]
+    for k, row in enumerate(a):
+        block = a[:k]  # a dot with a vector of length k reads only the first k entries of a row
+        r = [neg(x) for x in row[:k]]
+        v = [ai[k] for ai in block]
+        q = [one, neg(row[k])]
+        for j in range(k):
+            if j:
+                v = [dot(ai, v) for ai in block]
+            q.append(dot(r, v))
+        p = [dot(q[i::-1], p) for i in range(k + 2)]
+    return p
+
+
+def _int_grid(m: Matrix):
+    """(den, grid): den the lcm of the denominators of m, and den * m as a
+    grid of Z[i] (re, im) int pairs."""
+    n = m.ncols
+    den, pairs = clear_denominators(m.vec())
+    return den, [pairs[i * n:i * n + n] for i in range(m.nrows)]
+
+
+def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
+    """det(x*I - m), by `_berkowitz` over Z[i].
+
+    m is cleared once to den * m with den the lcm of its denominators; the
+    coefficient of x^k in the characteristic polynomial of den * m is then
+    den^(n-k) times that of m, and is divided by it once.
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return UniPoly.one(var)
-    a = []
-    scale = 1
-    for i, row in enumerate(m.rows):
-        d, pairs = clear_denominators(row)
-        scale *= d
-        a.append([
-            [(-re, -im), (d, 0)] if j == i else [(-re, -im)] if re or im else []
-            for j, (re, im) in enumerate(pairs)
-        ])
-    _bareiss(a, n, [(1, 0)], _zx_step)
-    return UniPoly._new(var, tuple(from_pair(re, im, scale) for re, im in a[n - 1][n - 1]))
-
-
-def _zx_step(x, p, f, t, prev):
-    """(x * p - f * t) / prev over Z[i][x], in the dense lists of `poly`;
-    prev has a positive integer leading coefficient."""
-    n = max(len(x) + len(p) if x else 1, len(f) + len(t) if f and t else 1) - 1
-    if not n:
-        return []
-    re, im = [0] * n, [0] * n
-    _zx_addmul(re, im, x, p)
-    _zx_addmul(re, im, f, t, -1)
-    while n and not (re[n - 1] or im[n - 1]):
-        n -= 1
-    return _zx_exact_div(re[:n], im[:n], prev)
-
-
-def _zx_exact_div(re, im, den):
-    """The quotient by den of the polynomial with coefficients re + im*i
-    (two int lists, consumed), for den over Z[i] with a positive integer
-    leading coefficient.  Raises ArithmeticError unless it is exact."""
-    lead, top = den[-1][0], len(den) - 1
-    if not top and lead == 1:
-        return list(zip(re, im))
-    q = [None] * max(len(re) - top, 0)
-    for k in range(len(q) - 1, -1, -1):
-        a, b = re[k + top], im[k + top]
-        if lead != 1:
-            a, ra = divmod(a, lead)
-            b, rb = divmod(b, lead)
-            if ra or rb:
-                raise ArithmeticError("inexact division over Z[i][x]")
-        q[k] = (a, b)
-        for j in range(top):
-            c, d = den[j]
-            re[k + j] -= a * c - b * d
-            im[k + j] -= a * d + b * c
-    if any(re[:top]) or any(im[:top]):
-        raise ArithmeticError("inexact division over Z[i][x]")
-    return q
+    den, a = _int_grid(m)
+    c = _berkowitz(a, _zi_dot, lambda x: (-x[0], -x[1]), (1, 0))
+    return UniPoly._new(var, tuple(from_pair(re, im, den ** j) for j, (re, im) in enumerate(c))[::-1])
 
 
 def _krylov_min_poly(a, den: int, i: int, var: str) -> UniPoly:
@@ -473,11 +456,16 @@ def _zi_cross(u, r, p, f):
 
 
 def _zi_dot(u, v):
+    """The dot product of two sequences of Z[i] (re, im) pairs, up to the end
+    of the shorter."""
     re = im = 0
     for (a, b), (c, d) in zip(u, v):
-        if c or d:
+        if d:
             re += a * c - b * d
             im += a * d + b * c
+        elif c:  # a real entry of v skips the cross terms
+            re += a * c
+            im += b * c
     return (re, im)
 
 
@@ -491,8 +479,7 @@ def min_poly(m: Matrix, var: str = "z") -> UniPoly:
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.nrows
-    den, pairs = clear_denominators(m.vec())
-    a = [pairs[k:k + n] for k in range(0, n * n, n)]
+    den, a = _int_grid(m)
     out = UniPoly.one(var)
     for i in range(n):
         local = _krylov_min_poly(a, den, i, var)
@@ -509,12 +496,12 @@ def min_poly(m: Matrix, var: str = "z") -> UniPoly:
 def ring_det(rows, zero, one):
     """Determinant of a square grid of MultiPolys over shared variables.
 
-    The grid is cleared once to den * grid over Z[i][z_1..z_n], and its
-    determinant is expanded along rows, memoized over the masks of the
-    columns used, each cofactor product added by `poly._zi_addmul`; the
-    result is det(den * grid) / den^n.  Division-free and exponential in
-    the size, so intended for small sizes.  `zero` and `one` are the zero
-    and one of the ring; `one` is the determinant of the empty grid.
+    The grid is cleared once to den * grid over Z[i][z_1..z_n], in the
+    sparse packed dicts of `poly._zi_addmul`, and `_berkowitz` runs over
+    them with the dot product `poly._zi_adddot`: the determinant is
+    (-1)^n times the constant coefficient, divided by den^n once.  `zero`
+    and `one` are the zero and one of the ring; `one` is the determinant of
+    the empty grid.
     """
     n = len(rows)
     if n == 0:
@@ -525,25 +512,10 @@ def ring_det(rows, zero, one):
     for e in entries:
         zero._same_vars(e)
     den, w, flat = _zi_cleared(entries, n)
+
+    def neg(f):
+        return {e: (-a, -b) for e, (a, b) in f.items()}
+
     grid = [flat[i:i + n] for i in range(0, n * n, n)]
-    neg = [[{e: (-a, -b) for e, (a, b) in f.items()} for f in row] for row in grid]
-    memo = {}
-
-    def minor(r, mask):
-        """det of rows r.. on the columns outside mask (r bits set)."""
-        if r == n - 1:
-            return grid[r][(~mask & (1 << n) - 1).bit_length() - 1]
-        if mask in memo:
-            return memo[mask]
-        acc, odd = {}, False
-        for c in range(n):
-            if mask >> c & 1:
-                continue
-            f = (neg if odd else grid)[r][c]
-            odd = not odd
-            if f:
-                _zi_addmul(acc, f, minor(r + 1, mask | 1 << c))
-        memo[mask] = acc = {e: v for e, v in acc.items() if v[0] or v[1]}
-        return acc
-
-    return _zi_multi(zero.vars, minor(0, 0), den ** n, w)
+    c0 = _berkowitz(grid, lambda u, v: _zi_adddot({}, u, v), neg, {0: (1, 0)})[-1]
+    return _zi_multi(zero.vars, neg(c0) if n % 2 else c0, den ** n, w)

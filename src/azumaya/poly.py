@@ -7,11 +7,12 @@ the canonical term order is graded lexicographic on the declared variable
 order (serialization lists terms by ascending (total degree, exponents)).
 Products run in integer passes over Z[i].  A dense polynomial over Z[i]
 is a list of ``(re, im)`` int pairs, lowest degree first; ``_zx_addmul`` is
-its one product, shared by ``UniPoly.__mul__``, ``linalg.char_poly``,
-``higgsing.ode_residual`` and the Cantor-Zassenhaus step of ``roots``.
-Multivariate products over Z[i][z_1..z_n] go through ``_zi_addmul``, shared
-by the matrix products and the trace contraction of ``kahler`` and by
-``linalg.ring_det``.
+its one product, shared by ``UniPoly.__mul__``, ``higgsing.ode_residual``,
+the Cantor-Zassenhaus step of ``roots`` and ``_zx_dot``, the dot product
+with which ``higgsing.spectral_curve`` runs ``linalg._berkowitz``.
+Multivariate products over Z[i][z_1..z_n] go through ``_zi_addmul`` and its
+dot product ``_zi_adddot``, shared by the matrix products and the trace
+contraction of ``kahler`` and by ``linalg.ring_det``.
 
 The public constructors coerce and validate their input.  Arithmetic
 results are already canonical and go through the trusted ``_new`` of each
@@ -515,6 +516,19 @@ def _zx_addmul(re, im, u, v, sign=1):
         i += 1
 
 
+def _zx_dot(u, v):
+    """The sum of the products of u and v entry by entry, up to the end of
+    the shorter, for sequences of dense Z[i] polynomials."""
+    pairs = [(f, g) for f, g in zip(u, v) if f and g]
+    n = max([len(f) + len(g) - 1 for f, g in pairs], default=0)
+    re, im = [0] * n, [0] * n
+    for f, g in pairs:
+        _zx_addmul(re, im, f, g)
+    while n and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    return list(zip(re[:n], im[:n]))
+
+
 def _zi_cleared(polys, factors: int = 2):
     """(den, width, dicts): den the lcm of the denominators of every
     coefficient of the MultiPolys, and each one times den as a Z[i]
@@ -538,6 +552,15 @@ def _zi_addmul(acc, f, g):
                 acc[e] = (a * c - b * d, a * d + b * c)
             else:
                 acc[e] = (p[0] + a * c - b * d, p[1] + a * d + b * c)
+
+
+def _zi_adddot(acc, u, v):
+    """acc plus the sum of the products of u and v entry by entry, up to the
+    end of the shorter, for Z[i] polynomials, with the cancelled terms
+    dropped."""
+    for f, g in zip(u, v):
+        _zi_addmul(acc, f, g)
+    return {e: x for e, x in acc.items() if x[0] or x[1]}
 
 
 def _zi_multi(variables: tuple, acc, den: int, w: int) -> MultiPoly:

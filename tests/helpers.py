@@ -13,8 +13,8 @@ from fractions import Fraction
 from operator import add
 
 from azumaya.linalg import Matrix, kernel_basis, rref
-from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
-from azumaya.scalars import GaussianRational, ONE, ZERO, gr
+from azumaya.poly import MultiPoly, UniPoly, _zx_addmul, monomials_up_to
+from azumaya.scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair, gr
 
 SMALL_POOL = [gr(0), gr(1), gr(-1), gr(2), gr(0, 1), gr(0, -1), gr(Fraction(1, 2))]
 
@@ -173,7 +173,8 @@ def naive_rank(m: Matrix) -> int:
 # ---------------------------------------------------------------------------
 # object-level polynomial arithmetic over GaussianRationals: the products,
 # the determinant and the trace contraction that the integer passes over
-# Z[i][z] and Z[i][z_1..z_n] replaced
+# Z[i][z] and Z[i][z_1..z_n] replaced; and the Bareiss characteristic
+# polynomial over Z[i][x] that Berkowitz's recurrence replaced
 
 
 def unipoly_mul(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -242,6 +243,66 @@ def cofactor_det(rows, zero, one):
         return memo[mask]
 
     return minor(0, 0)
+
+
+def bareiss_char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
+    """det(x*I - m) by one-step Bareiss elimination over Z[i][x].
+
+    Row i of x*I - m is first multiplied by d_i, the lcm of the
+    denominators in row i of m, so every entry lies in Z[i][x].  The k-th
+    pivot is then d_1...d_k times the leading principal k x k minor of
+    x*I - m, a monic polynomial of degree k: no row is ever swapped, and
+    the last pivot is d_1...d_n times the determinant, divided out once.
+    Each step (x * p - f * t) / prev is an exact division over Z[i][x].
+    """
+    n = m.nrows
+    if n == 0:
+        return UniPoly.one(var)
+    a, scale = [], 1
+    for i, row in enumerate(m.rows):
+        d, pairs = clear_denominators(row)
+        scale *= d
+        a.append([[(-re, -im), (d, 0)] if j == i else [(-re, -im)] if re or im else []
+                  for j, (re, im) in enumerate(pairs)])
+    prev = [(1, 0)]
+    for c in range(n - 1):
+        top, p = a[c], a[c][c]
+        for row in a[c + 1:]:
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = _zx_exact_div(_zx_sub_products(row[j], p, f, top[j]), prev)
+        prev = p
+    return UniPoly._new(var, tuple(from_pair(re, im, scale) for re, im in a[n - 1][n - 1]))
+
+
+def _zx_sub_products(x, p, f, t):
+    """x * p - f * t over Z[i][x], as (re, im) int lists without trailing zeros."""
+    size = max(len(x) + len(p), len(f) + len(t), 1) - 1
+    re, im = [0] * size, [0] * size
+    _zx_addmul(re, im, x, p)
+    _zx_addmul(re, im, f, t, -1)
+    while size and not (re[size - 1] or im[size - 1]):
+        size -= 1
+    return re[:size], im[:size]
+
+
+def _zx_exact_div(num, den):
+    """The quotient of num = (re, im) by den over Z[i][x], den with a positive
+    integer leading coefficient; raises ArithmeticError unless it is exact."""
+    re, im = num
+    lead, top = den[-1][0], len(den) - 1
+    q = [None] * max(len(re) - top, 0)
+    for k in range(len(q) - 1, -1, -1):
+        (a, ra), (b, rb) = divmod(re[k + top], lead), divmod(im[k + top], lead)
+        if ra or rb:
+            raise ArithmeticError("inexact division over Z[i][x]")
+        q[k] = (a, b)
+        for j, (c, d) in enumerate(den[:top]):
+            re[k + j] -= a * c - b * d
+            im[k + j] -= a * d + b * c
+    if any(re[:top]) or any(im[:top]):
+        raise ArithmeticError("inexact division over Z[i][x]")
+    return q
 
 
 def contracted_trace_form(w):

@@ -374,6 +374,11 @@ def test_integer_field_limit(monkeypatch, capsys):
         # a support entry that is not {point, length} is quoted, not named by Python's error text
         (["orbit-extremes"], {"support": [[1, 0]]}, "bad support entry [1, 0]"),
         (["orbit-extremes"], {"support": [{"point": [1]}]}, "bad support entry {'point': [1]}"),
+        # a polynomial variable is a name, not an array or a number
+        (["spectral-curve"], {"phi": {"var": ["z"], "entries": [[[1, 2]]]}}, "field 'var' is not a string: ['z']"),
+        (["spectral-curve"], {"phi": {"var": 5, "entries": [[[1, 2]]]}}, "field 'var' is not a string: 5"),
+        (["higgsing", "solve"], {"A": {"var": ["z"], "entries": [[[], [1]], [[], []]]}, "lambda": 1},
+         "field 'var' is not a string: ['z']"),
     ],
     ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda",
          "higgs-bhat-length", "curve-var-lambda", "higgs-bhat-string", "image-vars-string",
@@ -381,7 +386,8 @@ def test_integer_field_limit(monkeypatch, capsys):
          "curve-row-string", "image-vars-repeated", "presentation-vars-repeated", "form-vars-repeated",
          "pullback-source-vars-repeated", "pullback-target-vars-repeated", "form-matrix-vars-repeated",
          "form-r-negative", "form-degree-negative", "form-matrix-vars-differ", "pullback-image-vars-differ",
-         "image-degree-bound-negative", "support-entry-not-object", "support-entry-no-length"],
+         "image-degree-bound-negative", "support-entry-not-object", "support-entry-no-length",
+         "curve-var-array", "curve-var-number", "higgs-var-array"],
 )
 def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
     code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)

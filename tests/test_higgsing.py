@@ -21,7 +21,7 @@ from azumaya.linalg import Matrix, char_poly
 from azumaya.poly import MultiPoly, UniPoly
 from azumaya.roots import split_roots
 from azumaya.scalars import I, gr
-from helpers import rand_scalar
+from helpers import cofactor_det, rand_scalar
 
 
 z = UniPoly.x("z")
@@ -248,6 +248,23 @@ def test_spectral_curve_examples():
     assert spectral_curve(PolyMatrix([[0, 1], [z, 0]])) == lam * lam - zz
     f = z**3 - z + 2
     assert spectral_curve(PolyMatrix([[f]])) == lam - f.as_multi(("z", "lambda"), 0)
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_spectral_curve_matches_the_cofactor_oracle(r):
+    rng = random.Random(r)
+    variables = ("z", "lambda")
+    zero, one = MultiPoly.zero(variables), MultiPoly.constant(variables, 1)
+    lam = MultiPoly.variable(variables, "lambda")
+    pool = [gr(0), gr(1), gr(-2), gr(Fraction(1, 2)), gr(Fraction(-1, 3)), gr(0, 1), gr(Fraction(2, 3), 1)]
+    phis = [PolyMatrix.zeros(r)]  # zero entries, then constant ones, then polynomials of degree up to 1 and 2
+    for degree in (0, 1, 2):
+        phis.append(PolyMatrix([[UniPoly("z", [rng.choice(pool) for _ in range(rng.randrange(degree + 2))])
+                                 for _ in range(r)] for _ in range(r)]))
+    for phi in phis:
+        grid = [[(lam if i == j else zero) - e.as_multi(variables, 0) for j, e in enumerate(row)]
+                for i, row in enumerate(phi.rows)]
+        assert spectral_curve(phi) == cofactor_det(grid, zero, one)
 
 
 def test_spectral_curve_block_multiplicative():

@@ -6,7 +6,6 @@ import pytest
 
 from azumaya.linalg import (
     Matrix,
-    _zx_exact_div,
     char_poly,
     commutator,
     kernel_basis,
@@ -16,9 +15,11 @@ from azumaya.linalg import (
     ring_det,
     solve_exact,
 )
+from azumaya.higgsing import PolyMatrix
+from azumaya.kahler import MPolyMatrix
 from azumaya.poly import MultiPoly, UniPoly
 from azumaya.scalars import gr
-from helpers import SMALL_POOL, brute_min_poly, cofactor_det, naive_rank, rand_invertible, rand_matrix, rand_scalar
+from helpers import SMALL_POOL, bareiss_char_poly, brute_min_poly, cofactor_det, naive_rank, rand_invertible, rand_matrix, rand_scalar
 
 
 z = UniPoly.x("z")
@@ -51,6 +52,16 @@ def test_matrix_power_by_squaring():
         assert m ** k == product
     with pytest.raises(ValueError):
         m ** -1
+    # the identity keeps the class and the variables of the polynomial matrices
+    w = UniPoly.x("w")
+    p = PolyMatrix([[w, 1], [0, w * w]], "w")
+    assert p ** 0 == PolyMatrix.identity(2, "w") and type(p ** 0) is PolyMatrix and (p ** 0).vars == ("w",)
+    assert p ** 3 == p * p * p
+    variables = ("x", "y")
+    q = MPolyMatrix(variables, [[MultiPoly.variable(variables, "x"), 1], [0, MultiPoly.variable(variables, "y")]])
+    assert q ** 0 == MPolyMatrix.identity(variables, 2) and type(q ** 0) is MPolyMatrix and (q ** 0).vars == variables
+    assert q ** 0 * q == q
+    assert Matrix([]) ** 0 == Matrix([])
 
 
 def test_kernel_examples():
@@ -120,10 +131,46 @@ def test_char_poly_monic_of_full_degree():
         assert cp.degree == r and cp.leading() == gr(1)
 
 
+def _char_poly_inputs(n, rng):
+    """Seeded n x n matrices: integer, Gaussian, singular, nilpotent, with
+    small fractions, and with rows over different 30-digit denominators."""
+    big = 10**30
+
+    def grid(entry):
+        return [[entry() for _ in range(n)] for _ in range(n)]
+
+    gauss = grid(lambda: gr(rng.randint(-9, 9), rng.randint(-9, 9)))
+    singular = gauss[:-1] + [[x + y for x, y in zip(gauss[0], gauss[-2])]] if n > 1 else [[gr(0)]] * n
+    g = Matrix([[gr(rng.randint(-3, 3)) if j < i else gr(int(i == j)) for j in range(n)] for i in range(n)])
+    strict = Matrix([[gr(rng.randint(-9, 9), rng.randint(-1, 1)) if j > i else gr(0) for j in range(n)] for i in range(n)])
+    dens = [rng.randint(1, big) for _ in range(n)]
+    return {
+        "integer": Matrix(grid(lambda: rng.randint(-9, 9))),
+        "gaussian": Matrix(gauss),
+        "singular": Matrix(singular),
+        "nilpotent": g * strict * solve_exact(g, Matrix.identity(n)),
+        "small-fractions": Matrix(grid(lambda: gr(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-1, 1)))),
+        "row-denominators": Matrix([[gr(Fraction(rng.randint(-big, big), d), Fraction(rng.randint(-big, big), d))
+                                     for _ in range(n)] for d in dens]),
+    }
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_char_poly_matches_the_bareiss_oracle(n):
+    for kind, m in _char_poly_inputs(n, random.Random(100 + n)).items():
+        cp = char_poly(m, "z")
+        assert cp == bareiss_char_poly(m, "z"), kind
+        if kind == "nilpotent":
+            assert cp == z**n
+        if kind == "singular" and n:
+            assert cp.constant_term() == 0
+
+
 def test_min_poly_examples():
     assert min_poly(Matrix.identity(3) * gr(4)) == z - 4
     assert min_poly(Matrix.diag([1, 2])) == (z - 1) * (z - 2)
     assert min_poly(Matrix([[0, 1], [0, 0]])) == z**2
+    assert min_poly(Matrix([])) == UniPoly.one("z")
 
 
 def test_min_poly_matches_brute_force_and_divides_char_poly():
@@ -186,21 +233,8 @@ def test_ring_det_refusals_keep_their_text():
         ring_det([[x, zero], [zero, y]], zero, one)
 
 
-def test_zx_exact_division_refuses_an_inexact_quotient():
-    # (2x^2 + 2x) / (2x) = x + 1; polynomials over Z[i] as re and im lists
-    assert _zx_exact_div([0, 2, 2], [0, 0, 0], [(0, 0), (2, 0)]) == [(1, 0), (1, 0)]
-    with pytest.raises(ArithmeticError):  # x / (2x): a quotient coefficient 1/2
-        _zx_exact_div([0, 1], [0, 0], [(0, 0), (2, 0)])
-    with pytest.raises(ArithmeticError):
-        _zx_exact_div([1, 1], [0, 0], [(0, 0), (2, 0)])
-    with pytest.raises(ArithmeticError):  # integral quotient, remainder 1 + i
-        _zx_exact_div([1, 2], [1, 0], [(0, 0), (2, 0)])
-    with pytest.raises(ArithmeticError):  # (1 + x) / (1 + x^2): remainder of degree 1
-        _zx_exact_div([1, 1], [0, 0], [(1, 0), (0, 0), (1, 0)])
-
-
 def test_min_poly_of_a_dense_matrix_of_1000_digit_integers():
-    # generic, so the Krylov route of min_poly and the Bareiss route of
+    # generic, so the Krylov route of min_poly and the Berkowitz route of
     # char_poly must agree; the Krylov chain over fractions took about 11 s
     rng = random.Random(53)
     m = Matrix([[rng.randrange(-10**1000, 10**1000) for _ in range(8)] for _ in range(8)])

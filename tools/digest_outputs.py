@@ -7,9 +7,14 @@ ROOT/src and the workload builders from ROOT/bench, runs each operation of
 the `spectral`, `symbolic` and `requests` workloads at every seed, and
 then of the smoke set that every workload shares, once, and then of a
 fixed, seeded group of library calls that no workload reaches (`extra`
-below: `trace_form` of degree-2 and degree-3 tensors, `spectral_curve` at
-r = 6..8, `conjugacy` of arity-2 pairs at r = 3 and 4, which expands
-`ring_det` in the intertwiner coordinates, `split_roots` of squarefree
+below: `trace_form` of degree-2 and degree-3 tensors, `hilbert_chow` at
+n = 12 and 20 on dense Gaussian matrices, on rows of different fractional
+denominators, on 30-digit entries and on a 30-digit matrix of split
+spectrum, `spectral_curve` at r = 6..10 with Gaussian and fractional
+coefficients and on a constant Phi, `conjugacy` of arity-2 pairs at r = 3
+and 4, which takes `ring_det` in the intertwiner coordinates, one of them
+a pair of scalar matrices whose 16-dimensional Hom space makes that a
+generic 4x4 determinant, `split_roots` of squarefree
 polynomials with two roots 3 * 7 * 11 apart, so that no prime below 19
 serves and the roots mod q come from Cantor-Zassenhaus, one of them with a
 factor x^2 - 2 that does not split, and `ode_residual` with a polynomial
@@ -96,8 +101,21 @@ def extra():
                                  (("x", "y"), 1, 3), (("x", "y"), 2, 3)]:
         w = tensor_form(variables, r, degree)
         calls.append(("trace_form", lambda w=w: az.trace_form(w)))
-    for r in (6, 7, 8):
-        p = phi(r)
+    big = 10**30
+    dense = [[scalar() for _ in range(12)] for _ in range(12)]
+    fractional = [[az.gr(rng.randint(-9, 9), rng.randint(-9, 9)) / d for _ in range(20)]
+                  for d in (rng.randint(1, 40) for _ in range(20))]
+    digits = [[az.gr(rng.randint(-big, big), rng.randint(-big, big)) / d for _ in range(12)]
+              for d in (rng.randint(1, big) for _ in range(12))]
+    integers = [[rng.randint(-big, big) for _ in range(20)] for _ in range(20)]
+    tri = [[scalar() if j == i else az.gr(rng.randint(-big, big)) if j > i else 0 for j in range(12)]
+           for i in range(12)]
+    _, split = conjugate_pair(az.Matrix(tri), az.Matrix(tri))
+    for rows in (dense, fractional, digits, integers, split.matrices[0].rows):
+        m = az.Matrix(rows)
+        calls.append(("hilbert_chow", lambda m=m: az.hilbert_chow(m)))
+    for r, degree in ((6, 2), (7, 2), (8, 2), (9, 2), (10, 2), (9, 0)):
+        p = phi(r, degree)
         calls.append(("spectral_curve", lambda p=p: az.spectral_curve(p)))
     a3 = az.Matrix([[scalar() for _ in range(3)] for _ in range(3)])
     nil = az.Matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
@@ -106,7 +124,8 @@ def extra():
              conjugate_pair(az.Matrix.diag([1, 1, 2, 2]), az.Matrix.diag([0, 0, 3, az.gr(0, 1)])),
              conjugate_pair(nil, nil * nil),
              (point(ident, az.Matrix.diag([1, 1, 2])), point(ident, az.Matrix.diag([2, 1, 1]))),
-             (point(unit(0, 1), unit(0, 2)), point(unit(0, 1), unit(2, 1)))]  # not conjugate
+             (point(unit(0, 1), unit(0, 2)), point(unit(0, 1), unit(2, 1))),  # not conjugate
+             (point(az.Matrix.identity(4), az.Matrix.diag([2] * 4)),) * 2]
     for t1, t2 in pairs:
         calls.append(("conjugacy", lambda t1=t1, t2=t2: az.conjugacy(t1, t2)))
     for k in (3, 4, 6):
