@@ -55,11 +55,13 @@ def parse_var(value) -> str:
 
 
 def parse_names(value, field: str) -> tuple:
-    """The variable names of an array field, as strings.  A repeated name is
-    refused: it would stand for two coordinates at once."""
-    names = tuple(str(v) for v in parse_array(value, field))
+    """The variable names of an array field, each a string.  A repeated name
+    is refused: it would stand for two coordinates at once."""
+    names = tuple(parse_array(value, field))
     seen = set()
     for v in names:
+        if not isinstance(v, str):
+            raise InputError(f"field {field!r} holds a name that is not a string: {v!r:.40}")
         if v in seen:
             raise InputError(f"field {field!r} repeats the name {v!r}")
         seen.add(v)

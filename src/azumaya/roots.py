@@ -1,35 +1,33 @@
 """Complete linear factorization of univariate polynomials over Q(i).
 
 Modular method (Loos, SIAM J. Comput. 12(2), 1983; von zur Gathen &
-Gerhard, *Modern Computer Algebra*, ch. 6 and 14-15).  p, cleared to Z[i]
-and made monic as g(y) = lc^(n-1) p(y/lc), has the roots y = lc*x for the
-roots x of p in Q(i).  If g is squarefree mod one of the first few primes
-q = 3 (mod 4), so is p (g is monic, so a repeated root stays repeated mod
-q), and that q is kept.  Only otherwise is p replaced by its squarefree
-part h = p / gcd(p, p') over Q(i), and g rebuilt from h; this is always the
-route when p has a repeated root.  The roots of g mod the first prime
-q = 3 (mod 4) with g squarefree mod q lie in F_{q^2} = Z[i]/(q).  While
-q^2 is small they are found by evaluating g at every residue, beyond that
-by Cantor-Zassenhaus, whose cost grows with log q rather than q^2.  Each
-is Newton-lifted past twice a Cauchy bound and kept if g vanishes on it
-exactly.  Each is a simple root mod q and lifts uniquely, so none is
-missed: a factor of p left after deflating by every root has no root in
-Q(i), and SpectrumNotSplit names it.
+Gerhard, *Modern Computer Algebra*, ch. 5, 6 and 14-15), in Z[i] until the
+roots are returned.  p, cleared to Z[i] and made monic as
+g(y) = lc^(n-1) p(y/lc), has the roots y = lc*x in Z[i] for the roots x of
+p in Q(i).  h is g if g is squarefree mod 3, and otherwise g / gcd(g, g')
+by a modular gcd (_squarefree_part).  The roots of h mod the first prime
+q = 3 (mod 4) with h squarefree mod q lie in F_{q^2} = Z[i]/(q): found by
+evaluating h at every residue while q^2 is small, by Cantor-Zassenhaus
+beyond.  Each is Newton-lifted past twice a Fujiwara bound, and synthetic
+division of g by (y - Y) both certifies a candidate Y (its remainder is
+g(Y)) and counts its multiplicity.  Every root of g is a simple root of h
+mod q and lifts uniquely, so none is missed: what is left of g has no root
+in Q(i), and SpectrumNotSplit names the matching factor of p.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
+from itertools import chain, product
 from math import isqrt
 
 from .errors import SpectrumNotSplit
 from .poly import UniPoly, _zx_addmul
-from .scalars import GaussianRational, ZERO, clear_denominators
+from .scalars import ZERO, clear_denominators, from_pair
 
-# a monic g squarefree mod one of this many first primes q = 3 (mod 4)
-# proves p squarefree, and the gcd over Q(i) is skipped
-_SQUAREFREE_TRIES = 4
-# for q^2 up to this, the roots mod q are found by evaluating g at every
+# exponents e of the Mersenne primes 2^e - 1 (each = 3 mod 4), the first
+# primes of the modular gcd; the first serves alone on the usual input
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+# for q^2 up to this, the roots mod q are found by evaluating at every
 # residue of F_{q^2} rather than by Cantor-Zassenhaus
 _ENUMERATE_MAX = 128
 
@@ -44,13 +42,11 @@ def _gi_inv(x, m):
     return (x[0] * t % m, -x[1] * t % m)
 
 
-def _eval(f, x, m=0):
-    """f(x), reduced mod m, or exact when m is 0."""
+def _eval(f, x, m):
+    """f(x) mod m."""
     a = b = 0
     for c, d in reversed(f):
-        a, b = a * x[0] - b * x[1] + c, a * x[1] + b * x[0] + d
-        if m:
-            a, b = a % m, b % m
+        a, b = (a * x[0] - b * x[1] + c) % m, (a * x[1] + b * x[0] + d) % m
     return (a, b)
 
 
@@ -128,7 +124,7 @@ def _lift(g, dg, r, q, bound):
         m *= m
         a, b = _gi_mul(_eval(g, r, m), _gi_inv(_eval(dg, r, m), m))
         r = ((r[0] - a) % m, (r[1] - b) % m)
-    return tuple(c - m if c > m // 2 else c for c in r)
+    return _symmetric([r], m)[0]
 
 
 def _primes_3_mod_4():
@@ -137,6 +133,10 @@ def _primes_3_mod_4():
         if all(q % t for t in range(3, isqrt(q) + 1, 2)):
             yield q
         q += 4
+
+
+def _deriv(f):
+    return [(k * a, k * b) for k, (a, b) in enumerate(f)][1:]
 
 
 def _monic(h: UniPoly):
@@ -148,49 +148,84 @@ def _monic(h: UniPoly):
         g.append(_gi_mul(ck, power))
         power = _gi_mul(power, c[-1])
     g.reverse()
-    return g, [(k * a, k * b) for k, (a, b) in enumerate(g)][1:], c[-1]
+    return g, _deriv(g), c[-1]
 
 
 def _squarefree_mod(g, dg, q):
     return len(_gcd(_reduce(g, q), _reduce(dg, q), q)) == 1
 
 
-def _distinct_roots(p: UniPoly):
-    """The distinct roots in Q(i) of p, of degree >= 2 with p(0) != 0."""
-    g, dg, lc = _monic(p)
-    primes = _primes_3_mod_4()
-    q = next((q for q in islice(primes, _SQUAREFREE_TRIES) if _squarefree_mod(g, dg, q)), None)
-    if q is None:
-        d = p.gcd(p.deriv())
-        if d.degree > 0:
-            g, dg, lc = _monic(p.exact_div(d))
-            primes = _primes_3_mod_4()
-        # else g is unchanged and the primes already tried fail again
-        q = next(q for q in primes if _squarefree_mod(g, dg, q))
-    gq = _reduce(g, q)
+def _symmetric(f, m):
+    """The pairs of f mod m as residues in (-m/2, m/2]."""
+    return [tuple(c - m if c > m // 2 else c for c in x) for x in f]
+
+
+def _exact_quo(f, d):
+    """f / d over Z[i] for a monic d, or None if d does not divide f."""
+    f, k = list(f), len(d) - 1
+    quo = []
+    for top in range(len(f) - 1, k - 1, -1):
+        a, b = f[top]
+        quo.append((a, b))
+        for j in range(k):
+            c, e = d[j]
+            x, y = f[top - k + j]
+            f[top - k + j] = (x - a * c + b * e, y - a * e - b * c)
+    if any(x != (0, 0) for x in f[:k]):
+        return None
+    return quo[::-1]
+
+
+def _squarefree_part(g, dg):
+    """g / gcd(g, g') for a monic g over Z[i].
+
+    The monic gcd d lies in Z[i][y] with real and imaginary parts of at most
+    2^n ||g||_2 (Mignotte).  Its images mod the Mersenne primes, then every
+    prime q = 3 (mod 4), are combined by CRT.  No gcd mod q has a lower
+    degree than d, so a prime whose gcd has a higher degree is dropped, and a
+    trivial one proves g squarefree.  Once the modulus passes twice the
+    bound, the candidate is d unless every prime so far was unlucky, and it
+    is kept only if it divides g and g' exactly.
+    """
+    n = len(g) - 1
+    bound = (isqrt(sum(a * a + b * b for a, b in g)) + 1) << n
+    deg, m, d = n - 1, 1, []
+    for q in chain(((1 << e) - 1 for e in _MERSENNE_EXPONENTS), _primes_3_mod_4()):
+        dq = _gcd(_reduce(g, q), _reduce(dg, q), q)
+        k = len(dq) - 1
+        if k == 0:
+            return g
+        if k > deg:
+            continue
+        t = _gi_inv(dq[-1], q)
+        dq = [(x % q, y % q) for x, y in (_gi_mul(c, t) for c in dq)]
+        if k < deg or m == 1:
+            deg, m, d = k, q, dq
+        else:
+            t = pow(m, -1, q)
+            d = [(a + m * ((c - a) * t % q), b + m * ((e - b) * t % q)) for (a, b), (c, e) in zip(d, dq)]
+            m *= q
+        if m > 2 * bound:
+            cand = _symmetric(d, m)
+            h = _exact_quo(g, cand)
+            if h is not None and _exact_quo(dg, cand) is not None:
+                return h
+
+
+def _fujiwara(g):
+    """A power of two at least 2 max_j |g_(n-j)|^(1/j) (Fujiwara), which
+    bounds the absolute value of every root of the monic g."""
+    return 2 << max(-(-(a * a + b * b).bit_length() // (2 * j))
+                    for j, (a, b) in enumerate(reversed(g[:-1]), 1))
+
+
+def _roots_mod(h, q):
+    """The roots in F_{q^2} of h, squarefree mod q."""
+    hq = _reduce(h, q)
     if q * q <= _ENUMERATE_MAX:
-        mod_q = [r for r in product(range(q), repeat=2) if _eval(gq, r, q) == (0, 0)]
-    else:
-        x = [(0, 0), (1, 0)]
-        mod_q = _split(_gcd(gq, _sub(_powmod(x, q * q, gq, q), x, q), q), q)
-    bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
-    out = []
-    for r in mod_q:
-        y = _lift(g, dg, r, q, bound)
-        if _eval(g, y) == (0, 0):
-            out.append(GaussianRational(*y) / GaussianRational(*lc))
-    return out
-
-
-def _deflate(p: UniPoly, root: GaussianRational) -> UniPoly:
-    """Synthetic division of p by (x - root); caller guarantees p(root) = 0."""
-    n = p.degree
-    out = [ZERO] * n
-    acc = ZERO
-    for k in range(n, 0, -1):
-        acc = acc * root + p.coeffs[k]
-        out[k - 1] = acc
-    return UniPoly(p.var, out)
+        return [r for r in product(range(q), repeat=2) if _eval(hq, r, q) == (0, 0)]
+    x = [(0, 0), (1, 0)]
+    return _split(_gcd(hq, _sub(_powmod(x, q * q, hq, q), x, q), q), q)
 
 
 def split_roots(p: UniPoly):
@@ -210,12 +245,28 @@ def split_roots(p: UniPoly):
     if p.degree == 1:
         roots[-p.coeffs[0] / p.coeffs[1]] = 1
     elif p.degree >= 2:
-        for r in _distinct_roots(p):
-            p = _deflate(p, r)
-            roots[r] = 1
-            while p(r).is_zero():
-                p = _deflate(p, r)
-                roots[r] += 1
-        if p.degree >= 1:
-            raise SpectrumNotSplit(f"no linear factorization over Q(i): {p}")
+        g, dg, lc = _monic(p)
+        h, dh, q = g, dg, 3
+        if not _squarefree_mod(g, dg, q):
+            h = _squarefree_part(g, dg)
+            dh = _deriv(h)
+            q = next(q for q in _primes_3_mod_4() if _squarefree_mod(h, dh, q))
+        bound = _fujiwara(g)
+        norm = lc[0] * lc[0] + lc[1] * lc[1]
+        for r in _roots_mod(h, q):
+            y = _lift(h, dh, r, q, bound)
+            # synthetic division: its remainder g(y) certifies the root
+            mult, linear = 0, [(-y[0], -y[1]), (1, 0)]
+            while (quo := _exact_quo(g, linear)) is not None:
+                g, mult = quo, mult + 1
+            if mult:
+                # y / lc
+                roots[from_pair(y[0] * lc[0] + y[1] * lc[1], y[1] * lc[0] - y[0] * lc[1], norm)] = mult
+        if len(g) > 1:
+            # what is left of p: coefficient j is p.lc * g_j / lc^(k - j)
+            out, c, den = [], (1, 0), 1
+            for x in reversed(g):
+                out.append(p.coeffs[-1] * from_pair(*_gi_mul(x, c), den))
+                c, den = _gi_mul(c, (lc[0], -lc[1])), den * norm
+            raise SpectrumNotSplit(f"no linear factorization over Q(i): {UniPoly(p.var, out[::-1])}")
     return tuple(sorted(roots.items(), key=lambda kv: kv[0].sort_key()))

@@ -331,3 +331,89 @@ def contracted_trace_form(w):
     for t in w.terms:
         accumulate(t.pre, t.factors, ())
     return ClassicalForm(w.vars, w.degree, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# root extraction by the Q(i) route: squarefree part by the gcd over Q(i),
+# roots mod q by evaluation at every residue, lifting one q-adic digit at a
+# time, deflation and evaluation in GaussianRational
+
+
+def _qi_monic(h: UniPoly):
+    """h cleared to Z[i] and made monic, g(y) = lc^(n-1) h(y / lc): g, g', lc."""
+    c = clear_denominators(h.coeffs)[1]
+    n, lc = len(c) - 1, GaussianRational(*c[-1])
+    g = [GaussianRational(*ck) * lc ** (n - 1 - k) for k, ck in enumerate(c[:-1])] + [ONE]
+    g = [(x.re.numerator, x.im.numerator) for x in g]
+    return g, [(k * a, k * b) for k, (a, b) in enumerate(g)][1:], lc
+
+
+def _zi_value(f, a, b, m):
+    """f(a + b i) mod m, as a pair."""
+    re = im = 0
+    for c, d in reversed(f):
+        re, im = (re * a - im * b + c) % m, (re * b + im * a + d) % m
+    return re, im
+
+
+def _simple_roots_mod(g, dg, q):
+    """The roots of g in Z[i]/(q), q = 3 (mod 4), as pairs with the inverse
+    of g' at each; None if g' vanishes at one of them."""
+    out = []
+    for a in range(q):
+        for b in range(q):
+            if _zi_value(g, a, b, q) == (0, 0):
+                c, d = _zi_value(dg, a, b, q)
+                if (c, d) == (0, 0):
+                    return None
+                t = pow(c * c + d * d, -1, q)
+                out.append(((a, b), (c * t % q, -d * t % q)))
+    return out
+
+
+def qi_split_roots(p: UniPoly):
+    """split_roots by the Q(i) route.  p is replaced by p / gcd(p, p') over
+    Q(i) and made monic over Z[i] as g, whose roots y = lc * x have real and
+    imaginary parts of at most 1 + max |g_j| (Cauchy).  At the first prime
+    q = 3 (mod 4) where g' vanishes at no root of g mod q, every root of g
+    in Z[i] is one of those roots mod q, lifted one q-adic digit at a time
+    past twice the bound.  A candidate y / lc is kept if p vanishes on it,
+    and p is deflated over Q(i) by each root as often as it vanishes there."""
+    from azumaya.errors import SpectrumNotSplit
+
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no root multiset")
+    found = {}
+    k0 = 0
+    while p.coeffs[k0].is_zero():
+        k0 += 1
+    if k0:
+        found[ZERO] = k0
+        p = UniPoly(p.var, p.coeffs[k0:])
+    if p.degree == 1:
+        found[-p.coeffs[0] / p.coeffs[1]] = 1
+    elif p.degree >= 2:
+        g, dg, lc = _qi_monic(p.exact_div(p.gcd(p.deriv())))
+        q = 3
+        while any(q % t == 0 for t in range(3, q, 2)) or (mod_q := _simple_roots_mod(g, dg, q)) is None:
+            q += 4
+        bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
+        for (a, b), (c, d) in mod_q:
+            m = q
+            while m <= 2 * bound:
+                # a + b i is a root mod m; the next digit t makes it one mod m q
+                u, v = (x // m for x in _zi_value(g, a, b, m * q))
+                ta, tb = -(u * c - v * d) % q, -(u * d + v * c) % q
+                a, b, m = a + m * ta, b + m * tb, m * q
+            root = gr(a - m if 2 * a > m else a, b - m if 2 * b > m else b) / lc
+            while p(root).is_zero():
+                quo = [ZERO] * p.degree
+                acc = ZERO
+                for k in range(p.degree, 0, -1):
+                    acc = acc * root + p.coeffs[k]
+                    quo[k - 1] = acc
+                p = UniPoly(p.var, quo)
+                found[root] = found.get(root, 0) + 1
+        if p.degree >= 1:
+            raise SpectrumNotSplit(f"no linear factorization over Q(i): {p}")
+    return tuple(sorted(found.items(), key=lambda kv: kv[0].sort_key()))

@@ -379,6 +379,17 @@ def test_integer_field_limit(monkeypatch, capsys):
         (["spectral-curve"], {"phi": {"var": 5, "entries": [[[1, 2]]]}}, "field 'var' is not a string: 5"),
         (["higgsing", "solve"], {"A": {"var": ["z"], "entries": [[[], [1]], [[], []]]}, "lambda": 1},
          "field 'var' is not a string: ['z']"),
+        # so is each name of a vars-like array
+        (["image"], {"vars": [["x"], 5], "matrices": [[[1]], [[2]]], "degree_bound": 1},
+         "field 'vars' holds a name that is not a string: ['x']"),
+        (["kahler", "pullback"], {"phi": {"target_vars": ["a", "b"], "source_vars": [1],
+                                          "images": [[[[{"exps": [1], "coef": 1}]]], [[2]]]},
+                                  "form": [[{"exps": [1, 0], "coef": 1}], []]},
+         "field 'source_vars' holds a name that is not a string: 1"),
+        (["kahler", "pullback"], {"phi": {"target_vars": ["a", None], "source_vars": ["x"],
+                                          "images": [[[[{"exps": [1], "coef": 1}]]], [[2]]]},
+                                  "form": [[{"exps": [1, 0], "coef": 1}], []]},
+         "field 'target_vars' holds a name that is not a string: None"),
     ],
     ids=["torus-d", "torus-tau", "orbit-length", "slag-target", "relator-exponent", "weyl-N", "higgs-lambda",
          "higgs-bhat-length", "curve-var-lambda", "higgs-bhat-string", "image-vars-string",
@@ -387,7 +398,8 @@ def test_integer_field_limit(monkeypatch, capsys):
          "pullback-source-vars-repeated", "pullback-target-vars-repeated", "form-matrix-vars-repeated",
          "form-r-negative", "form-degree-negative", "form-matrix-vars-differ", "pullback-image-vars-differ",
          "image-degree-bound-negative", "support-entry-not-object", "support-entry-no-length",
-         "curve-var-array", "curve-var-number", "higgs-var-array"],
+         "curve-var-array", "curve-var-number", "higgs-var-array", "image-vars-name-array",
+         "pullback-source-vars-name-number", "pullback-target-vars-name-null"],
 )
 def test_refused_fields_are_malformed_input(command, payload, detail, monkeypatch, capsys):
     code, out = run_main(command, json.dumps(payload), monkeypatch, capsys)

@@ -4,6 +4,8 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 
 import pytest
 
@@ -14,7 +16,7 @@ from azumaya.linalg import Matrix, char_poly
 from azumaya.poly import UniPoly
 from azumaya.roots import split_roots
 from azumaya.scalars import I, gr
-from helpers import rand_upper_triangular
+from helpers import qi_split_roots, rand_upper_triangular
 
 
 z = UniPoly.x("z")
@@ -86,12 +88,12 @@ def test_split_matches_roots_known_by_construction():
         want = {}
         for _ in range(rng.randint(0, 4)):
             r = _gauss_rational(rng, height)
-            want[r] = want.get(r, 0) + rng.randint(1, 3)
+            want[r] = want.get(r, 0) + rng.randint(1, 7)
         rest = UniPoly.constant(lc, "z")
         for _ in range(rng.choice([0, 0, 1, 2])):
             s = _gauss_rational(rng, 3)
             k = rng.choice([2, 3, 5, 6, 7, -2, -3, -5, -6, -7])
-            rest = rest * ((z - s) ** 2 - k) ** rng.randint(1, 2)
+            rest = rest * ((z - s) ** 2 - k) ** rng.randint(1, 3)
         p = rest
         for r, m in want.items():
             p = p * (z - r) ** m
@@ -130,39 +132,45 @@ def _count_gcd_calls(monkeypatch):
     return calls
 
 
-def _answer(p):
+def _answer(p, split=split_roots):
     try:
-        return split_roots(p)
+        return split(p)
     except SpectrumNotSplit as err:
         return str(err)
 
 
-def test_squarefree_input_skips_the_gcd_over_q_i(monkeypatch):
-    # block triangular with entries in [-9, 9]: a dense 20 x 20 block, whose
-    # characteristic polynomial is irreducible, and ten distinct eigenvalues
-    # on the diagonal below it; its characteristic polynomial is squarefree
-    # mod 19, so the ten roots are found and deflated with no gcd over Q(i)
-    rng = random.Random(2)
+def _block_triangular(seed):
+    """A 30 x 30 matrix in [-9, 9]: a dense 20 x 20 block, whose
+    characteristic polynomial is irreducible, and ten distinct eigenvalues
+    on the diagonal below it."""
+    rng = random.Random(seed)
     n, k = 30, 10
     diag = rng.sample(range(-9, 10), k)
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
     for i in range(n - k, n):
         rows[i][:i] = [0] * i
         rows[i][i] = diag[i - (n - k)]
-    p = char_poly(Matrix(rows), "z")
+    return rows
+
+
+def test_squarefree_input_skips_the_gcd_over_q_i(monkeypatch):
+    # the characteristic polynomial is squarefree; at seeds 0, 1, 3 and 4 its
+    # roots collide mod 3, 7, 11 and 19, and the modular gcd proves it
+    # squarefree; the ten roots are found and divided out, and what is left
+    # is the characteristic polynomial of the 20 x 20 block
     calls = _count_gcd_calls(monkeypatch)
-    start = time.perf_counter()
-    got = _answer(p)
-    assert time.perf_counter() - start < 0.5
-    assert calls == []
-    assert got.startswith("no linear factorization over Q(i): ")
-    # the route through the gcd over Q(i), taken when no prime is tried
-    monkeypatch.setattr(roots_module, "_SQUAREFREE_TRIES", 0)
-    assert _answer(p) == got
-    assert len(calls) == 1
+    for seed in range(5):
+        rows = _block_triangular(seed)
+        p = char_poly(Matrix(rows), "z")
+        start = time.perf_counter()
+        got = _answer(p)
+        assert time.perf_counter() - start < 0.2
+        assert calls == []
+        block = char_poly(Matrix([row[:20] for row in rows[:20]]), "z")
+        assert got == f"no linear factorization over Q(i): {block}"
 
 
-def test_a_repeated_root_takes_the_gcd_over_q_i(monkeypatch):
+def test_a_repeated_root_skips_the_gcd_over_q_i(monkeypatch):
     roots = [gr(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     roots += [gr(Fraction(1, 2), Fraction(k, 3)) for k in range(-2, 3)]
     want = {r: 1 for r in roots}
@@ -171,9 +179,67 @@ def test_a_repeated_root_takes_the_gcd_over_q_i(monkeypatch):
     for r, m in want.items():
         p = p * (z - r) ** m
     assert p.degree == 31
+    oracle = qi_split_roots(p)
     calls = _count_gcd_calls(monkeypatch)
-    assert split_roots(p) == tuple(sorted(want.items(), key=lambda kv: kv[0].sort_key()))
-    assert len(calls) == 1
+    start = time.perf_counter()
+    got = split_roots(p)
+    assert time.perf_counter() - start < 0.2
+    assert calls == []
+    assert got == oracle == tuple(sorted(want.items(), key=lambda kv: kv[0].sort_key()))
+
+
+def test_roots_of_large_norm(monkeypatch):
+    # roots far past any single small prime; and in (z - 5)(z + 3), |5|
+    # exceeds max |g_(n-j)|^(1/j) = 15^(1/2), so the factor 2 of the Fujiwara
+    # bound is needed to lift it mod 3 to 81 rather than to 9
+    big = 10**40
+    cases = [((z - big) ** 2 * (z + big * I), ((gr(0, -big), 1), (gr(big), 2))),
+             ((z - 5) * (z + 3), ((gr(-3), 1), (gr(5), 1))),
+             (2 * (3 * z - big) ** 3 * (z - I * big) * (z - 5), ((gr(0, big), 1), (gr(5), 1), (gr(Fraction(big, 3)), 3)))]
+    want = [qi_split_roots(p) for p, _ in cases]
+    assert want == [w for _, w in cases]
+    # with 300 small primes only, a gcd such as z - 10^40 is put together by
+    # CRT (a finite sequence, so that a fault ends the loop rather than hangs)
+    small = list(islice(roots_module._primes_3_mod_4(), 300))
+    with monkeypatch.context() as patch:
+        patch.setattr(roots_module, "_MERSENNE_EXPONENTS", ())
+        patch.setattr(roots_module, "_primes_3_mod_4", lambda: iter(small))
+        assert [split_roots(p) for p, _ in cases] == want
+    assert [split_roots(p) for p, _ in cases] == want
+
+
+def test_an_unlucky_prime_is_rejected_by_the_certificate(monkeypatch):
+    # (z + s)^2 - P with s = isqrt(P) has a double root mod P, so the gcd of
+    # g and g' mod P is (z - 1)(z + s), not z - 1, and P alone passes twice
+    # the bound; the certificate refuses that candidate, and the next prime
+    # gives the gcd of lower degree
+    unlucky = 2**31 - 1
+    s = isqrt(unlucky)
+    quadratic = (z + s) ** 2 - unlucky
+    p = (z - 1) ** 2 * quadratic
+    monkeypatch.setattr(roots_module, "_MERSENNE_EXPONENTS", (31,) + roots_module._MERSENNE_EXPONENTS)
+    tried = []
+    exact_quo = roots_module._exact_quo
+    monkeypatch.setattr(roots_module, "_exact_quo",
+                        lambda f, d: tried.append((len(d) - 1, exact_quo(f, d) is not None)) or exact_quo(f, d))
+    with pytest.raises(SpectrumNotSplit) as err:
+        split_roots(p)
+    assert str(err.value) == f"no linear factorization over Q(i): {quadratic}" == _answer(p, qi_split_roots)
+    # (degree of the divisor, divides): the certificate refuses the candidate
+    # of P and accepts z - 1 for g and g'; synthetic divisions by z - y follow
+    assert tried[:3] == [(2, False), (1, True), (1, True)]
+
+
+def test_the_gcd_primes_are_proven_prime():
+    # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime exactly when
+    # s_(e-2) = 0 mod 2^e - 1, with s_0 = 4 and s_(k+1) = s_k^2 - 2
+    exps = roots_module._MERSENNE_EXPONENTS
+    for e in exps:
+        assert all(e % t for t in range(2, isqrt(e) + 1))
+        m, x = 2**e - 1, 4
+        for _ in range(e - 2):
+            x = (x * x - 2) % m
+        assert x == 0 and m % 4 == 3
 
 
 def test_roots_mod_a_small_prime_are_enumerated(monkeypatch):

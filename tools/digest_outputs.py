@@ -17,8 +17,10 @@ a pair of scalar matrices whose 16-dimensional Hom space makes that a
 generic 4x4 determinant, `split_roots` of squarefree
 polynomials with two roots 3 * 7 * 11 apart, so that no prime below 19
 serves and the roots mod q come from Cantor-Zassenhaus, one of them with a
-factor x^2 - 2 that does not split, and `ode_residual` with a polynomial
-A, against random B and against the closed-form B of non-constant a_i),
+factor x^2 - 2 that does not split, `split_roots` of the large inputs of
+`large_root_inputs` below, which take the modular gcd, and `ode_residual`
+with a polynomial A, against random B and against the closed-form B of
+non-constant a_i),
 and prints `bench/run.py`'s `digest` of each output (or the exception it
 raised). Last it prints the exit code and the stdout of
 `cli.main(["scenario", "run-all"])`. It writes no file. Two checkouts
@@ -42,6 +44,46 @@ import sys
 from fractions import Fraction
 
 COEFFS = [(0, 0), (1, 0), (-1, 0), (2, 0), (0, 1), (0, -1), (Fraction(1, 2), 0), (Fraction(-2, 3), 1)]
+
+
+def large_root_inputs():
+    """(label, polynomial) for the large inputs of `split_roots`: a 30x30
+    characteristic polynomial times (z - 3)^2, the characteristic
+    polynomials of block-triangular 30x30 matrices (a dense 20x20 block
+    over ten distinct integer eigenvalues) at seeds 0..4, the degree-31
+    product of 30 roots with one doubled, and seeded products of Gaussian
+    and fractional roots of multiplicity up to 7, some of them times an
+    irreducible quadratic."""
+    import azumaya as az
+
+    z = az.UniPoly.x("z")
+    rng = random.Random(0)
+    cp = az.char_poly(az.Matrix([[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]), "z")
+    out = [("cp30 * (z - 3)^2", cp * (z - 3) ** 2)]
+    for seed in range(5):
+        rng = random.Random(seed)
+        diag = rng.sample(range(-9, 10), 10)
+        rows = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)]
+        for i in range(20, 30):
+            rows[i][:i] = [0] * i
+            rows[i][i] = diag[i - 20]
+        out.append((f"block-triangular {seed}", az.char_poly(az.Matrix(rows), "z")))
+    roots = [az.gr(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    roots += [az.gr(Fraction(1, 2), Fraction(k, 3)) for k in range(-2, 3)]
+    p = az.UniPoly.constant(az.gr(3, -1), "z") * (z - roots[7])
+    for r in roots:
+        p = p * (z - r)
+    out.append(("degree-31 repeated root", p))
+    rng = random.Random("high-multiplicity")
+    for k in range(6):
+        p = az.UniPoly.constant(az.gr(rng.randint(1, 9), rng.randint(-9, 9)) / rng.randint(1, 5), "z")
+        for _ in range(rng.randint(2, 4)):
+            r = az.gr(Fraction(rng.randint(-40, 40), rng.randint(1, 6)), Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
+            p = p * (z - r) ** rng.randint(1, 7)
+        if k % 2:
+            p = p * ((z - rng.randint(-5, 5)) ** 2 - rng.choice([2, 3, -5, 6]))
+        out.append((f"high multiplicity {k}", p))
+    return out
 
 
 def extra():
@@ -133,6 +175,8 @@ def extra():
         calls.append(("split_roots", lambda p=p: az.split_roots(p)))
     p = az.UniPoly.from_roots(colliding_roots(4), "x") * az.UniPoly("x", [-2, 0, 1])
     calls.append(("split_roots", lambda p=p: az.split_roots(p)))
+    for _, p in large_root_inputs():
+        calls.append(("split_roots", lambda p=p: az.split_roots(p)))
     for degree in (1, 2, 3):
         problem = az.HiggsProblem(phi(2, degree), scalar() or az.gr(3))
         for b in (phi(2, degree + 1), *_formula_solutions(*problem.a.rows[0], *problem.a.rows[1], problem.lam, "z")):
