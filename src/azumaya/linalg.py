@@ -3,8 +3,9 @@
 `Matrix` is the one dense matrix type.  Its entries lie in Q(i), in
 Q(i)[z] (the subclass `higgsing.PolyMatrix`) or in Q(i)[z_1..z_n] (the
 subclass `kahler.MPolyMatrix`); the subclasses only coerce their entries
-and add domain methods.  Rank is a one-step Bareiss (fraction-free)
-elimination over Q(i).  Every determinant is one division-free recurrence,
+and add domain methods.  Rank, kernels and solves read one elimination,
+`_echelon`, a one-step Bareiss (fraction-free) elimination over Z[i] with
+back substitution over Z[i].  Every determinant is one division-free recurrence,
 Berkowitz's (`_berkowitz`), run over integers after the input is cleared
 of its denominators once: char_poly over Z[i], `higgsing.spectral_curve`
 over the dense Z[i][z] lists of `poly`, and ring_det, the determinant of a
@@ -12,8 +13,7 @@ grid of multivariate polynomials, over the sparse Z[i][z_1..z_n] dicts of
 `poly`.  Each passes its ring's dot product, the one place where the
 recurrence multiplies.  min_poly runs its Krylov chains over Z[i] too, on
 the matrix cleared of its denominators once, with a fraction-free
-incremental echelon.  Kernels and solves use reduced row echelon form over
-the field.
+incremental echelon.
 """
 
 from __future__ import annotations
@@ -222,45 +222,44 @@ def commute(mats) -> bool:
 # elimination
 
 
-def _bareiss(a, ncols: int):
-    """One-step Bareiss (fraction-free) elimination of the grid a over
-    Q(i), in place.
+def _echelon(rows, ncols: int):
+    """The pivot rows of a one-step Bareiss (fraction-free) elimination of
+    rows over Q(i): (pivot column, row) pairs, the columns increasing.
 
-    Column by column, the first nonzero entry p at or below the current row
-    is the pivot, and every entry x below and right of it becomes
-    (x * p - f * t) / prev, with f the entry of x's row in the pivot
-    column, t the entry of the pivot row in x's column and prev the pivot
-    before (1 at the start).  Each division is exact over the integral
-    domain the entries generate (Cohen, A Course in Computational Algebraic
-    Number Theory, section 2.2), so the entries stay minors of the input.
-    Entries left of a pivot are not cleared, as nothing reads them again.
-    Returns the rank.
+    Each row is cleared of its denominators to Z[i] (re, im) pairs.  The
+    pivot row top of column c is the first remaining row nonzero there, and
+    each row with f = row[c] != 0 becomes (top[c] * row - f * top) / d,
+    exactly, d being the pivot that last rewrote it (Bareiss, Math. Comp.
+    22, 1968).  Bareiss would also scale a row with f = 0 by the pivot over
+    the pivot before; those factors telescope, so they are applied at once,
+    by that division by d, or by scaling a pivot row by the pivot before
+    over d.  Entries left of column c are not cleared, as nothing reads them.
     """
-    nr = len(a)
-    prev = ONE
-    r = 0
+    rest = [[clear_denominators(r)[1], (1, 0)] for r in rows]
+    out = []
+    prev = (1, 0)
     for c in range(ncols):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c]), None)
-        if piv is None:
+        i = next((i for i, (row, _) in enumerate(rest) if row[c] != (0, 0)), None)
+        if i is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        top = a[r]
-        p = top[c]
-        for i in range(r + 1, nr):
-            row = a[i]
+        top, d = rest.pop(i)
+        if d != prev:
+            top[c:] = _zi_quo(top[c:], d, prev)
+        p, tail = top[c], top[c + 1:]
+        for item in rest:
+            row, d = item
             f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (row[j] * p - f * top[j]) / prev
+            if f != (0, 0):
+                row[c + 1:] = _zi_quo(_zi_cross(row[c + 1:], tail, p, f), d)
+                item[1] = p
+        out.append((c, top))
         prev = p
-        r += 1
-    return r
+    return out
 
 
 def rank(m: Matrix) -> int:
-    """Rank by Bareiss elimination over Q(i)."""
-    return _bareiss([list(r) for r in m.rows], m.ncols)
+    """The number of pivots of `_echelon`."""
+    return len(_echelon(m.rows, m.ncols))
 
 
 def kernel_chain(n: Matrix, dim: int):
@@ -296,59 +295,46 @@ def eigen_chains(m: Matrix):
     return [(ev, *kernel_chain(m - ident * ev, mult)) for ev, mult in split_roots(char_poly(m, var="z"))]
 
 
-def rref(rows, ncols: int):
-    """Reduced row echelon over the field; returns (rows, pivot columns)."""
-    a = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if not a[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c].inverse()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def kernel_basis(m: Matrix):
     """Canonical exact basis of the right null space (possibly empty): one
-    vector per free column, 1 there, 0 at the other free columns and after."""
-    a, pivots = rref(m.rows, m.ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    vector per free column, 1 there, 0 at the other free columns and after.
+    Times q, the last `_echelon` pivot left of its free column, a vector lies
+    over Z[i] (Cramer's rule), and back substitution divides exactly."""
+    echelon = _echelon(m.rows, m.ncols)
     basis = []
-    for fc in free:
+    t = 0  # the number of pivot rows left of j
+    for j in range(m.ncols):
+        if t < len(echelon) and echelon[t][0] == j:
+            t += 1
+            continue
+        qr, qi = q = echelon[t - 1][1][echelon[t - 1][0]] if t else (1, 0)
+        cols, w = [j], [q]
+        for c, row in reversed(echelon[:t]):
+            x, y = _zi_quo([_zi_dot([row[k] for k in cols], w)], row[c])[0]
+            cols.append(c)
+            w.append((-x, -y))
         v = [ZERO] * m.ncols
-        v[fc] = ONE
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -a[r_idx][fc]
+        v[j] = ONE
+        for c, (x, y) in zip(cols[1:], w[1:]):
+            if x or y:
+                v[c] = from_pair(x * qr + y * qi, y * qr - x * qi, qr * qr + qi * qi)
         basis.append(tuple(v))
     return tuple(basis)
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a * x = b for a with full column rank; raises on inconsistency."""
+    """Solve a * x = b for a with full column rank; raises on inconsistency.
+    Column j of x is read off the `kernel_basis` vector of [a | -b] that is 1
+    at -b_j; a vector is nonzero past a's columns only if it is free there."""
     if a.nrows != b.nrows:
         raise ValueError("dimension mismatch in solve")
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    rows, pivots = rref(aug, a.ncols + b.ncols)
-    if any(p >= a.ncols for p in pivots):
+    n = a.ncols
+    basis = kernel_basis(Matrix([ra + tuple(-x for x in rb) for ra, rb in zip(a.rows, b.rows)]))
+    if sum(any(v[n:]) for v in basis) < b.ncols:
         raise ValueError("inconsistent linear system")
-    if len(pivots) != a.ncols:
+    if len(basis) != b.ncols:
         raise ValueError("coefficient matrix does not have full column rank")
-    x = [[ZERO] * b.ncols for _ in range(a.ncols)]
-    for r_idx, pc in enumerate(pivots):
-        x[pc] = rows[r_idx][a.ncols:]
-    return Matrix(x)
+    return Matrix([[v[i] for v in basis] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +439,16 @@ def _zi_cross(u, r, p, f):
         return [(pr * x - pi * y - fr * s + fi * t, pr * y + pi * x - fr * t - fi * s)
                 for (x, y), (s, t) in zip(u, r)]
     return [(pr * x - fr * s, pr * y - fr * t) for (x, y), (s, t) in zip(u, r)]
+
+
+def _zi_quo(u, d, m=(1, 0)):
+    """[x * m / d for x in u] over Z[i], each quotient exact."""
+    (mr, mi), (dr, di) = m, d
+    if di:  # times m * conj(d), over |d|^2
+        mr, mi, dr = mr * dr + mi * di, mi * dr - mr * di, dr * dr + di * di
+    if mi:
+        return [((x * mr - y * mi) // dr, (x * mi + y * mr) // dr) for x, y in u]
+    return u if mr == dr == 1 else [(x * mr // dr, y * mr // dr) for x, y in u]
 
 
 def _zi_dot(u, v):

@@ -3,7 +3,8 @@
 Every oracle here is deliberately implemented by a different route than
 the library path it checks: brute-force evaluation kernels instead of
 Krylov chains, conjugate-partition partial sums instead of rank formulas,
-naive field elimination instead of fraction-free elimination.
+Gauss-Jordan elimination over the field instead of fraction-free
+elimination over Z[i].
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 from operator import add
 
-from azumaya.linalg import Matrix, kernel_basis, rref
+from azumaya.linalg import Matrix
 from azumaya.poly import MultiPoly, UniPoly, _zx_addmul, monomials_up_to
 from azumaya.scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair, gr
 
@@ -55,7 +56,7 @@ def brute_min_poly(m: Matrix, var: str = "z") -> UniPoly:
         powers.append(powers[-1] * m)
     for d in range(0, r + 1):
         cols = [p.vec() for p in powers[: d + 1]]
-        ker = kernel_basis(Matrix.from_columns(cols))
+        ker = rref_kernel(list(zip(*cols)), d + 1)
         if ker:
             coeffs = list(ker[0])
             p = UniPoly(var, coeffs)
@@ -78,8 +79,8 @@ def brute_vanishing_at_points(points, nvars: int, degree: int, variables):
                 val = val * x**k
             row.append(val)
         rows.append(row)
-    ker = kernel_basis(Matrix(rows))
-    reduced, _ = rref([list(v) for v in ker], len(monos))
+    ker = rref_kernel(rows, len(monos))
+    reduced, _ = rref(ker, len(monos))
     out = []
     for row in reduced:
         if all(c.is_zero() for c in row):
@@ -143,6 +144,59 @@ def jordan_nilpotent(parts) -> Matrix:
             rows[base + i][base + i + 1] = ONE
         base += size
     return Matrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over the field
+
+
+def rref(rows, ncols: int):
+    """Reduced row echelon over the field; returns (rows, pivot columns)."""
+    a = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if not a[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][c].inverse()
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and not a[i][c].is_zero():
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def rref_kernel(rows, ncols: int):
+    """The canonical kernel basis read off `rref`: one vector per free
+    column, 1 there, 0 at the other free columns and after."""
+    a, pivots = rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def rref_solve(a: Matrix, b: Matrix) -> Matrix:
+    """a * x = b read off `rref` of [a | b], with the refusals of `solve_exact`."""
+    if a.nrows != b.nrows:
+        raise ValueError("dimension mismatch in solve")
+    rows, pivots = rref([ra + rb for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols)
+    if any(p >= a.ncols for p in pivots):
+        raise ValueError("inconsistent linear system")
+    if len(pivots) != a.ncols:
+        raise ValueError("coefficient matrix does not have full column rank")
+    return Matrix([row[a.ncols:] for row in rows[:a.ncols]])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from azumaya.higgsing import PolyMatrix
 from azumaya.kahler import MPolyMatrix
 from azumaya.poly import MultiPoly, UniPoly
 from azumaya.scalars import gr
-from helpers import SMALL_POOL, bareiss_char_poly, brute_min_poly, cofactor_det, naive_rank, rand_invertible, rand_matrix, rand_scalar
+from azumaya.poly import monomial_values, monomials_up_to
+from helpers import (SMALL_POOL, bareiss_char_poly, brute_min_poly, cofactor_det, naive_rank, rand_invertible, rand_matrix,
+                     rand_scalar, rref, rref_kernel, rref_solve)
 
 
 z = UniPoly.x("z")
@@ -99,6 +101,98 @@ def test_bareiss_agrees_with_naive_elimination():
         r = rng.randrange(1, 7)
         m = rand_matrix(rng, r)
         assert rank(m) == naive_rank(m)
+
+
+def _elimination_cases():
+    """Seeded matrices for the eliminations: tall, sparse intertwiner systems
+    (2r^2 x r^2, r = 2..5), wide evaluation systems (r^2 x C(r+2, 2)), dense
+    1-digit Gaussian matrices of every shape up to 6 x 6 and of lower rank,
+    rows over distinct fractional denominators, 30- and 300-digit Gaussian
+    entries, zero rows, zero columns, empty shapes, pivots that are not
+    real, and staircases whose rows keep a 0 in the pivot column for
+    several steps before they are used."""
+    rng = random.Random(67)
+
+    def gauss(digits=1):
+        b = 10 ** digits - 1
+        return gr(rng.randint(-b, b), rng.randint(-b, b))
+
+    def grid(n, k, entry=gauss):
+        return Matrix([[entry() for _ in range(k)] for _ in range(n)])
+
+    def commuting_pair(r):
+        m = Matrix([[gauss() if j >= i else gr(0) for j in range(r)] for i in range(r)])
+        g = rand_invertible(rng, r)
+        ginv = rref_solve(g, Matrix.identity(r))
+        return g * m * ginv, g * (m * m + m * gauss()) * ginv
+
+    out = [Matrix([]), Matrix.zeros(3, 0), Matrix([[]]), Matrix.zeros(1), Matrix.zeros(2, 4)]
+    for r in range(2, 6):  # the equations g m_i = m'_i g of azpoint.intertwiner_space
+        ms = commuting_pair(r)
+        g = rand_invertible(rng, r)
+        ginv = rref_solve(g, Matrix.identity(r))
+        rows = []
+        for m1, m2 in zip(ms, (g * m * ginv for m in ms)):
+            for a in range(r):
+                for b in range(r):
+                    row = [gr(0)] * (r * r)
+                    for c in range(r):
+                        row[a * r + c] += m1.rows[c][b]
+                        row[c * r + b] -= m2.rows[a][c]
+                    rows.append(row)
+        out.append(Matrix(rows))
+    for r in range(2, 5):  # the evaluation map of azpoint.vanishing_ideal, degree r
+        values = monomial_values(commuting_pair(r), Matrix.identity(r), monomials_up_to(2, r))
+        out.append(Matrix.from_columns([v.vec() for v in reversed(values)]))
+    for n in range(1, 7):
+        for k in range(1, 7):
+            out.append(grid(n, k))
+        inner = rng.randrange(1, n + 1)
+        out.append(grid(n, inner) * grid(inner, n))
+    for n in (3, 5):
+        dens = rng.sample(range(2, 10 ** 6), n)
+        out.append(Matrix([[gauss() / d for _ in range(n)] for d in dens]))
+        out.append(Matrix([[gauss() / d for _ in range(n + 1)] for d in dens]) * grid(n + 1, 2) * grid(2, n))
+    for digits in (30, 300):
+        out += [grid(5, 5, lambda: gauss(digits)), grid(3, 5, lambda: gauss(digits)),
+                grid(5, 2, lambda: gauss(digits)) * grid(2, 5, lambda: gauss(digits))]
+    for n in (3, 6):  # zero rows and zero columns among the others
+        m = [list(row) for row in grid(n, n).rows]
+        for row in m:
+            row[1] = gr(0)
+        m[2] = [gr(0)] * n
+        out.append(Matrix(m))
+    for n in (3, 5):  # every pivot a Gaussian integer that is not real
+        out.append(Matrix([[gr(rng.randint(-3, 3), rng.choice((-2, -1, 1, 2))) for _ in range(n)] for _ in range(n)]))
+    for n, digits in ((6, 1), (8, 1), (6, 30)):  # row i zero left of column z_i, the rows shuffled
+        for _ in range(4):
+            rows = [[gr(0)] * z + [gauss(digits) for _ in range(n - z)] for z in (rng.randrange(n) for _ in range(n + 2))]
+            rng.shuffle(rows)
+            out.append(Matrix(rows))
+    return out
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+def test_eliminations_agree_with_the_gauss_jordan_oracle():
+    rng = random.Random(71)
+    for m in _elimination_cases():
+        _, pivots = rref(m.rows, m.ncols)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == rref_kernel(m.rows, m.ncols)
+        x = Matrix([[rand_scalar(rng) for _ in range(2)] for _ in range(m.ncols)])
+        for b in (m * x, Matrix([[rand_scalar(rng) for _ in range(3)] for _ in range(m.nrows)])):
+            assert _answer(solve_exact, m, b) == _answer(rref_solve, m, b)
+    # the first two steps leave the third and the fourth row alone, and the
+    # third and the fourth step take their pivots from them
+    m = Matrix([[1, 2, 3, 4], [2, 1, 0, 5], [0, 0, 0, gr(3, 1)], [0, 0, gr(1, -2), 7], [0, 3, 1, 1]])
+    assert rank(m) == 4 and kernel_basis(m) == ()
+    assert solve_exact(m, m * Matrix([[1], [gr(0, 1)], [2], [3]])) == Matrix([[1], [gr(0, 1)], [2], [3]])
 
 
 def test_char_poly_examples():

@@ -18,9 +18,12 @@ generic 4x4 determinant, `split_roots` of squarefree
 polynomials with two roots 3 * 7 * 11 apart, so that no prime below 19
 serves and the roots mod q come from Cantor-Zassenhaus, one of them with a
 factor x^2 - 2 that does not split, `split_roots` of the large inputs of
-`large_root_inputs` below, which take the modular gcd, and `ode_residual`
-with a polynomial A, against random B and against the closed-form B of
-non-constant a_i),
+`large_root_inputs` below, which take the modular gcd, `rank`,
+`kernel_basis` and `solve_exact` on the ladder of `elimination_inputs`
+below (entries of up to 1000 digits, pivots that are not real, tall
+sparse intertwiner systems and a wide evaluation system), and
+`ode_residual` with a polynomial A, against random B and against the
+closed-form B of non-constant a_i),
 and prints `bench/run.py`'s `digest` of each output (or the exception it
 raised). Last it prints the exit code and the stdout of
 `cli.main(["scenario", "run-all"])`. It writes no file. Two checkouts
@@ -83,6 +86,101 @@ def large_root_inputs():
         if k % 2:
             p = p * ((z - rng.randint(-5, 5)) ** 2 - rng.choice([2, 3, -5, 6]))
         out.append((f"high multiplicity {k}", p))
+    return out
+
+
+def elimination_inputs():
+    """(label, name, arguments) for calls of the `linalg` eliminations
+    `rank`, `kernel_basis` and `solve_exact` on a fixed, seeded ladder:
+    dense 8x8 Gaussian matrices of 1, 30, 300 and 1000 digits, invertible
+    and of rank 5 (its dependent rows spread among the others), and a
+    solve against two columns of as many digits; a 12x12 matrix over
+    distinct row denominators of rank 9, and the inverse of a 12x12 1-digit
+    Gaussian matrix; 20x20 matrices of 1 digit (invertible) and of 30
+    digits (rank 15); the tall, sparse intertwiner systems of `conjugacy`
+    for conjugate commuting pairs at r = 5 and 8; the 144 x 91 evaluation
+    system of `vanishing_ideal` for a commuting pair at r = 12, D = 12; and
+    two refused solves, an inconsistent one and one of a singular matrix."""
+    import azumaya as az
+    from azumaya.linalg import solve_exact
+    from azumaya.poly import monomial_values, monomials_up_to
+
+    rng = random.Random("elimination")
+
+    def gauss(digits):
+        b = 10 ** digits - 1
+        return az.gr(rng.randint(-b, b), rng.randint(-b, b))
+
+    def grid(n, k, entry):
+        return [[entry() for _ in range(k)] for _ in range(n)]
+
+    def of_rank(n, k, entry):
+        """n x n of rank k: n - k rows are combinations of the k others."""
+        rows = grid(k, n, entry)
+        for _ in range(n - k):
+            cs = [az.gr(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(k)]
+            rows.append([sum((c * row[j] for c, row in zip(cs, rows[:k])), az.gr(0)) for j in range(n)])
+        rng.shuffle(rows)
+        return az.Matrix(rows)
+
+    def conjugator(r):
+        """A seeded unit-triangular matrix with its rows permuted, and its inverse."""
+        rows = [[az.gr(1) if i == j else gauss(1) if j > i else az.gr(0) for j in range(r)] for i in range(r)]
+        rng.shuffle(rows)
+        g = az.Matrix(rows)
+        return g, solve_exact(g, az.Matrix.identity(r))
+
+    def commuting_pair(r):
+        m = az.Matrix([[gauss(1) if j >= i else az.gr(0) for j in range(r)] for i in range(r)])
+        g, ginv = conjugator(r)
+        return g * m * ginv, g * (m * m + m * gauss(1)) * ginv
+
+    def intertwiner_system(r):
+        """The equations g m_i = m'_i g of `azpoint.intertwiner_space`, for
+        a commuting pair and its conjugate."""
+        ms = commuting_pair(r)
+        g, ginv = conjugator(r)
+        rows = []
+        for m1, m2 in zip(ms, (g * m * ginv for m in ms)):
+            for a in range(r):
+                for b in range(r):
+                    row = [az.gr(0)] * (r * r)
+                    for c in range(r):
+                        row[a * r + c] += m1.rows[c][b]
+                        row[c * r + b] -= m2.rows[a][c]
+                    rows.append(row)
+        return az.Matrix(rows)
+
+    def evaluation_system(r, degree):
+        """The matrix of `vanishing_ideal`'s evaluation map for a commuting pair."""
+        values = monomial_values(commuting_pair(r), az.Matrix.identity(r), monomials_up_to(2, degree))
+        return az.Matrix.from_columns([v.vec() for v in reversed(values)])
+
+    out = []
+    for digits in (1, 30, 300, 1000):
+        m = az.Matrix(grid(8, 8, lambda: gauss(digits)))
+        b = az.Matrix(grid(8, 2, lambda: gauss(digits)))
+        out += [(f"8x8 {digits}-digit", "rank", (m,)), (f"8x8 {digits}-digit", "kernel_basis", (m,)),
+                (f"8x8 {digits}-digit", "solve_exact", (m, b))]
+        m = of_rank(8, 5, lambda: gauss(digits))
+        out += [(f"8x8 {digits}-digit rank 5", "rank", (m,)), (f"8x8 {digits}-digit rank 5", "kernel_basis", (m,))]
+    m = of_rank(12, 9, lambda: gauss(1) / rng.randint(1, 40))
+    m = az.Matrix([[x / d for x in row] for row, d in zip(m.rows, rng.sample(range(1, 10 ** 6), 12))])
+    out += [("12x12 row denominators rank 9", "rank", (m,)), ("12x12 row denominators rank 9", "kernel_basis", (m,))]
+    out.append(("12x12 1-digit inverse", "solve_exact", (az.Matrix(grid(12, 12, lambda: gauss(1))), az.Matrix.identity(12))))
+    m = az.Matrix(grid(20, 20, lambda: gauss(1)))
+    out += [("20x20 1-digit", "rank", (m,)), ("20x20 1-digit", "kernel_basis", (m,))]
+    m = of_rank(20, 15, lambda: gauss(30))
+    out += [("20x20 30-digit rank 15", "rank", (m,)), ("20x20 30-digit rank 15", "kernel_basis", (m,))]
+    for r in (5, 8):
+        m = intertwiner_system(r)
+        out += [(f"intertwiner r={r}", "rank", (m,)), (f"intertwiner r={r}", "kernel_basis", (m,))]
+    m = evaluation_system(12, 12)
+    out += [("image r=12 D=12", "rank", (m,)), ("image r=12 D=12", "kernel_basis", (m,))]
+    a = az.Matrix(grid(3, 2, lambda: gauss(1)))
+    out.append(("3x2 inconsistent", "solve_exact", (a, az.Matrix(grid(3, 2, lambda: gauss(1))))))
+    a = of_rank(4, 3, lambda: gauss(1))
+    out.append(("4x4 rank 3", "solve_exact", (a, a * az.Matrix(grid(4, 1, lambda: gauss(1))))))
     return out
 
 
@@ -177,6 +275,8 @@ def extra():
     calls.append(("split_roots", lambda p=p: az.split_roots(p)))
     for _, p in large_root_inputs():
         calls.append(("split_roots", lambda p=p: az.split_roots(p)))
+    for label, name, args in elimination_inputs():
+        calls.append((name, lambda fn=getattr(az.linalg, name), args=args: fn(*args)))
     for degree in (1, 2, 3):
         problem = az.HiggsProblem(phi(2, degree), scalar() or az.gr(3))
         for b in (phi(2, degree + 1), *_formula_solutions(*problem.a.rows[0], *problem.a.rows[1], problem.lam, "z")):
@@ -191,6 +291,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.dont_write_bytecode = True  # no __pycache__ in the checkout either
+    sys.set_int_max_str_digits(0)  # the ladder's kernels hold ints of over 4300 digits
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
 
     import cli_requests
