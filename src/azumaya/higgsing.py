@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from .errors import NonConstantA, SolvabilityViolated, SpectrumNotSplit
 from .linalg import Matrix, _berkowitz, char_poly
-from .poly import MultiPoly, UniPoly, _zx_addmul, _zx_dot
+from .poly import MultiPoly, UniPoly
 from .roots import split_roots
-from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
+from .scalars import GaussianRational, ONE, ZERO, from_pair
+from .zi import _regroup, _zi_cleared, _zx_addmul, _zx_deriv, _zx_dot, _zx_out
 
 
 class PolyMatrix(Matrix):
@@ -86,16 +87,13 @@ def spectral_curve(phi: PolyMatrix, eig_var: str = "lambda") -> MultiPoly:
     split spectrum, its eigenvalues are exactly the roots of the curve
     sliced at z0.  Phi is cleared once to den * Phi over Z[i][z], and
     `linalg._berkowitz` runs on it with the dense dot product
-    `poly._zx_dot`; the coefficient of lam^k is divided by den^(r-k) once.
+    `zi._zx_dot`; the coefficient of lam^k is divided by den^(r-k) once.
     """
     if phi.var == eig_var:
         raise ValueError(f"the eigenvalue variable {eig_var!r} is also the matrix variable")
     r = phi.nrows
-    polys = [e.coeffs for row in phi.rows for e in row]
-    den, pairs = clear_denominators([c for cs in polys for c in cs])
-    it = iter(pairs)
-    grid = [[[next(it) for _ in cs] for cs in polys[i * r:i * r + r]] for i in range(r)]
-    c = _berkowitz(grid, _zx_dot, lambda f: [(-a, -b) for a, b in f], [(1, 0)])
+    den, polys = _zi_cleared([e.coeffs for row in phi.rows for e in row])
+    c = _berkowitz(_regroup(polys, phi.rows), _zx_dot, lambda f: [(-a, -b) for a, b in f], [(1, 0)])
     return MultiPoly._new((phi.var, eig_var), {(e, r - j): from_pair(re, im, den ** j) for j, f in enumerate(c)
                                                for e, (re, im) in enumerate(f) if re or im})
 
@@ -130,33 +128,25 @@ def ode_residual(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
     """lam * dB/dz + A*B - B*A in b's variable; b solves the system iff
     this is zero.  One pass over Z[i][z]: lam, A and b are cleared to one
     denominator d, and each entry of d^2 times the residual is summed in
-    two int lists by the dense product `poly._zx_addmul`."""
+    two int lists by the dense product `zi._zx_addmul`."""
     a, n = p.a, b.nrows
     if n != a.nrows:
         raise ValueError("dimension mismatch")
     if a.var != b.var and not (a.is_constant() or b.is_constant()):
         raise ValueError(f"variable mismatch: {a.var} vs {b.var}")
-    polys = [e.coeffs for m in (a, b) for row in m.rows for e in row]
-    d, pairs = clear_denominators([p.lam, *(c for cs in polys for c in cs)])
-    lam, it = pairs[0], iter(pairs[1:])
-    ints = [[next(it) for _ in cs] for cs in polys]
-    ia, ib = ([ints[i:i + n] for i in range(o, o + n * n, n)] for o in (0, n * n))
+    d, ((lam,), *ints) = _zi_cleared([(p.lam,), *(e.coeffs for m in (a, b) for row in m.rows for e in row)])
     size = max(map(len, ints[:n * n])) + max(map(len, ints[n * n:])) - 1  # holds B' too
+    ia, ib = _regroup(ints[:n * n], a.rows), _regroup(ints[n * n:], b.rows)
     d2, rows = d * d, []
     for i in range(n):
         row = []
         for k in range(n):
             re, im = [0] * size, [0] * size
-            _zx_addmul(re, im, [lam], [(t * x, t * y) for t, (x, y) in enumerate(ib[i][k][1:], 1)])  # lam B'
+            _zx_addmul(re, im, [lam], _zx_deriv(ib[i][k]))  # lam B'
             for j in range(n):
                 _zx_addmul(re, im, ia[i][j], ib[j][k])
                 _zx_addmul(re, im, ib[i][j], ia[j][k], -1)
-            cs = []
-            if any(re) or any(im):
-                cs = [from_pair(x, y, d2) if x or y else ZERO for x, y in zip(re, im)]
-            while cs and cs[-1] is ZERO:
-                cs.pop()
-            row.append(UniPoly._new(b.var, tuple(cs)))
+            row.append(UniPoly._new(b.var, _zx_out(re, im, d2)))
         rows.append(row)
     return b._new(rows)
 

@@ -74,11 +74,16 @@ _INT_LIMIT = 10**MAX_LITERAL_DIGITS
 # inputs make slow.  On a 2-core host the largest accepted weyl-check
 # answers in about 0.7 s, the largest accepted image on small matrices in
 # about 0.02 s, the pullback of u^1000 du along u -> [[x + y]] in about
-# 0.2 s, and a one-term trace of 3^8 index tuples in about 0.1 s.
+# 0.2 s, a one-term trace of 3^8 index tuples in about 0.1 s, and the
+# spectral curve of a 12x12 matrix of degree-10 entries with 1-digit
+# Gaussian coefficients, the slowest at r*d = 120 for r = 2..12, in about
+# 1.3 s.
 MAX_MONOMIALS = 100  # image: monomials of degree <= D in the point's variables
 MAX_WEYL_TERMS = 200_000  # weyl-check: r*N*(r + N), r*(N-1) states of r entries
-MAX_EXPONENT = 1000  # every exponent of a polynomial's terms
+MAX_EXPONENT = 1000  # every exponent of a polynomial's terms, and the degree of a coefficient array
 MAX_FORM_INDICES = 10_000  # kahler trace: index tuples (k_1..k_s), len(vars)^degree
+MAX_CURVE_DEGREE = 120  # spectral-curve: r*d, for r x r entries of degree <= d
+MAX_SUPPORT_LENGTH = 10_000  # orbit-extremes: the support lengths in sum, the parts of the minimal orbit
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +209,8 @@ def parse_unipoly(obj, var: str = "z") -> UniPoly:
         obj = obj.get("coeffs", [])
     if not isinstance(obj, list):
         raise InputError("a univariate polynomial is a coefficient array, lowest first")
+    if len(obj) > MAX_EXPONENT + 1:
+        raise InputError(f"a coefficient array of degree {len(obj) - 1} exceeds the limit of {MAX_EXPONENT}")
     return UniPoly(var, [parse_scalar(c) for c in obj])
 
 
@@ -276,6 +283,8 @@ def parse_support(obj) -> SupportLengthData:
                             parse_int(e["length"], "length")))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad support entry {e!r}") from exc
+    if sum(n for _, n in entries) > MAX_SUPPORT_LENGTH:
+        raise InputError(f"support lengths exceed the limit of {MAX_SUPPORT_LENGTH} in total")
     return build(SupportLengthData, entries)
 
 

@@ -18,8 +18,9 @@ exposed as an oracle.
 from __future__ import annotations
 
 from .linalg import Matrix, commute
-from .poly import MultiPoly, _zi_adddot, _zi_cleared, _zi_multi
+from .poly import MultiPoly
 from .scalars import GaussianRational, ONE
+from .zi import _zi_adddot, _zi_grids, _zi_matmul, _zi_partial, _zi_unpacked
 
 
 class MPolyMatrix(Matrix):
@@ -53,8 +54,9 @@ class MPolyMatrix(Matrix):
         self._check_product(other)
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        den, w, (a, b) = _zi_grids((self, other))
-        return self._new([_zi_multi(self.vars, e, den * den, w) for e in row] for row in _zi_matmul(a, b))
+        den, w, (a, b) = _zi_grids((self.rows, other.rows))
+        return self._new([MultiPoly._new(self.vars, _zi_unpacked(e, den * den, w, len(self.vars))) for e in row]
+                         for row in _zi_matmul(a, b))
 
     @classmethod
     def zeros(cls, variables, r: int) -> "MPolyMatrix":
@@ -308,15 +310,15 @@ def trace_form(w: FormalForm) -> ClassicalForm:
     matrices, is divided by den^(2s + 1) once."""
     n, size = len(w.vars), 2 * w.degree + 1
     mats = [m for t in w.terms for m in (t.pre, *(x for f in t.factors for x in f))]
-    den, width, grids = _zi_grids(mats, size)
-    mask, scale = (1 << width) - 1, den ** size
+    den, width, grids = _zi_grids([m.rows for m in mats], size)
     coeffs = {}
     for i in range(0, len(grids), size):  # pre, then dm and post of each slot
         pre, *slots = grids[i:i + size]
-        parts = [[[[_zi_partial(f, k * width, mask) for f in row] for row in dm] for k in range(n)]
-                 for dm in slots[::2]]
+        parts = [[[[_zi_partial(f, k, width) for f in row] for row in dm] for k in range(n)] for dm in slots[::2]]
         _accumulate(coeffs, pre, list(zip(parts, slots[1::2])), ())
-    return ClassicalForm(w.vars, w.degree, {idx: _zi_multi(w.vars, c, scale, width) for idx, c in coeffs.items()})
+    scale = den ** size
+    return ClassicalForm(w.vars, w.degree, {idx: MultiPoly._new(w.vars, _zi_unpacked(c, scale, width, n))
+                                            for idx, c in coeffs.items()})
 
 
 def _accumulate(coeffs, acc, slots, idx):
@@ -334,31 +336,6 @@ def _accumulate(coeffs, acc, slots, idx):
         else:
             key = idx + (k,)
             coeffs[key] = _zi_adddot(coeffs.get(key, {}), [f for row in dpart for f in row], q)
-
-
-def _zi_grids(mats, factors: int = 2):
-    """(den, width, grids): each matrix times den, the lcm of the
-    denominators in all of them, as a grid of Z[i] polynomials, packed as
-    `poly._zi_cleared` packs them for products of `factors` entries."""
-    den, width, flat = _zi_cleared([e for m in mats for row in m.rows for e in row], factors)
-    it = iter(flat)
-    return den, width, [[[next(it) for _ in row] for row in m.rows] for m in mats]
-
-
-def _zi_partial(f, shift: int, mask: int):
-    """The partial derivative of a Z[i] polynomial by the variable whose
-    exponent is packed at bit `shift`."""
-    out = {}
-    for e, (a, b) in f.items():
-        if k := e >> shift & mask:
-            out[e - (1 << shift)] = (k * a, k * b)
-    return out
-
-
-def _zi_matmul(a, b):
-    """The product of two grids of Z[i] polynomials."""
-    cols = list(zip(*b))
-    return [[_zi_adddot({}, row, col) for col in cols] for row in a]
 
 
 # ---------------------------------------------------------------------------

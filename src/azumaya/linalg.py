@@ -8,9 +8,9 @@ and add domain methods.  Rank, kernels and solves read one elimination,
 back substitution over Z[i].  Every determinant is one division-free recurrence,
 Berkowitz's (`_berkowitz`), run over integers after the input is cleared
 of its denominators once: char_poly over Z[i], `higgsing.spectral_curve`
-over the dense Z[i][z] lists of `poly`, and ring_det, the determinant of a
+over the dense Z[i][z] lists of `zi`, and ring_det, the determinant of a
 grid of multivariate polynomials, over the sparse Z[i][z_1..z_n] dicts of
-`poly`.  Each passes its ring's dot product, the one place where the
+`zi`.  Each passes its ring's dot product, the one place where the
 recurrence multiplies.  min_poly runs its Krylov chains over Z[i] too, on
 the matrix cleared of its denominators once, with a fraction-free
 incremental echelon.
@@ -21,9 +21,10 @@ from __future__ import annotations
 from math import gcd
 from operator import mul
 
-from .poly import MultiPoly, UniPoly, _zi_adddot, _zi_cleared, _zi_multi
+from .poly import MultiPoly, UniPoly
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
+from .zi import _gi_div, _zi_adddot, _zi_cleared, _zi_cross, _zi_dot, _zi_grids, _zi_neg, _zi_quo, _zi_unpacked
 
 
 class Matrix:
@@ -307,7 +308,7 @@ def kernel_basis(m: Matrix):
         if t < len(echelon) and echelon[t][0] == j:
             t += 1
             continue
-        qr, qi = q = echelon[t - 1][1][echelon[t - 1][0]] if t else (1, 0)
+        q = echelon[t - 1][1][echelon[t - 1][0]] if t else (1, 0)
         cols, w = [j], [q]
         for c, row in reversed(echelon[:t]):
             x, y = _zi_quo([_zi_dot([row[k] for k in cols], w)], row[c])[0]
@@ -315,9 +316,9 @@ def kernel_basis(m: Matrix):
             w.append((-x, -y))
         v = [ZERO] * m.ncols
         v[j] = ONE
-        for c, (x, y) in zip(cols[1:], w[1:]):
-            if x or y:
-                v[c] = from_pair(x * qr + y * qi, y * qr - x * qi, qr * qr + qi * qi)
+        for c, x in zip(cols[1:], w[1:]):
+            if x != (0, 0):
+                v[c] = _gi_div(x, q)
         basis.append(tuple(v))
     return tuple(basis)
 
@@ -369,14 +370,6 @@ def _berkowitz(a, dot, neg, one):
     return p
 
 
-def _int_grid(m: Matrix):
-    """(den, grid): den the lcm of the denominators of m, and den * m as a
-    grid of Z[i] (re, im) int pairs."""
-    n = m.ncols
-    den, pairs = clear_denominators(m.vec())
-    return den, [pairs[i * n:i * n + n] for i in range(m.nrows)]
-
-
 def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
     """det(x*I - m), by `_berkowitz` over Z[i].
 
@@ -386,7 +379,7 @@ def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of a non-square matrix")
-    den, a = _int_grid(m)
+    den, a = _zi_cleared(m.rows)
     c = _berkowitz(a, _zi_dot, lambda x: (-x[0], -x[1]), (1, 0))
     return UniPoly._new(var, tuple(from_pair(re, im, den ** j) for j, (re, im) in enumerate(c))[::-1])
 
@@ -416,53 +409,13 @@ def _krylov_min_poly(a, den: int, i: int, var: str) -> UniPoly:
             w = _zi_cross(w, row, row[c], (fr, fi))
             comb = _zi_cross(comb, rcomb + [(0, 0)] * (len(comb) - len(rcomb)), row[c], (fr, fi))
         piv = next((j for j, (x, y) in enumerate(w) if x or y), None)
-        g = gcd(*(x for pair in w for x in pair), *(x for pair in comb for x in pair))
-        if g > 1:
-            w = [(x // g, y // g) for x, y in w]
-            comb = [(x // g, y // g) for x, y in comb]
-        if piv is None:  # c_j / c_k, over c_k times its conjugate
-            cr, ci = comb[k]
-            norm = cr * cr + ci * ci
-            return UniPoly._new(var, tuple(
-                from_pair(x * cr + y * ci, y * cr - x * ci, norm * den ** (k - j))
-                for j, (x, y) in enumerate(comb)
-            ))
+        g = (gcd(*(x for pair in w for x in pair), *(x for pair in comb for x in pair)), 0)
+        w, comb = _zi_quo(w, g), _zi_quo(comb, g)
+        if piv is None:
+            return UniPoly._new(var, tuple(_gi_div(x, comb[k], den ** (k - j)) for j, x in enumerate(comb)))
         kept.append((piv, w, comb))
         v = [_zi_dot(row, v) for row in a]
     raise AssertionError("Krylov chain exceeded matrix size")  # pragma: no cover
-
-
-def _zi_cross(u, r, p, f):
-    """[p * x - f * t for x, t in zip(u, r)] over Z[i]."""
-    (pr, pi), (fr, fi) = p, f
-    if pi or fi:
-        return [(pr * x - pi * y - fr * s + fi * t, pr * y + pi * x - fr * t - fi * s)
-                for (x, y), (s, t) in zip(u, r)]
-    return [(pr * x - fr * s, pr * y - fr * t) for (x, y), (s, t) in zip(u, r)]
-
-
-def _zi_quo(u, d, m=(1, 0)):
-    """[x * m / d for x in u] over Z[i], each quotient exact."""
-    (mr, mi), (dr, di) = m, d
-    if di:  # times m * conj(d), over |d|^2
-        mr, mi, dr = mr * dr + mi * di, mi * dr - mr * di, dr * dr + di * di
-    if mi:
-        return [((x * mr - y * mi) // dr, (x * mi + y * mr) // dr) for x, y in u]
-    return u if mr == dr == 1 else [(x * mr // dr, y * mr // dr) for x, y in u]
-
-
-def _zi_dot(u, v):
-    """The dot product of two sequences of Z[i] (re, im) pairs, up to the end
-    of the shorter."""
-    re = im = 0
-    for (a, b), (c, d) in zip(u, v):
-        if d:
-            re += a * c - b * d
-            im += a * d + b * c
-        elif c:  # a real entry of v skips the cross terms
-            re += a * c
-            im += b * c
-    return (re, im)
 
 
 def min_poly(m: Matrix, var: str = "z") -> UniPoly:
@@ -475,7 +428,7 @@ def min_poly(m: Matrix, var: str = "z") -> UniPoly:
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.nrows
-    den, a = _int_grid(m)
+    den, a = _zi_cleared(m.rows)
     out = UniPoly.one(var)
     for i in range(n):
         local = _krylov_min_poly(a, den, i, var)
@@ -493,8 +446,8 @@ def ring_det(rows, zero, one):
     """Determinant of a square grid of MultiPolys over shared variables.
 
     The grid is cleared once to den * grid over Z[i][z_1..z_n], in the
-    sparse packed dicts of `poly._zi_addmul`, and `_berkowitz` runs over
-    them with the dot product `poly._zi_adddot`: the determinant is
+    sparse packed dicts of `zi._zi_addmul`, and `_berkowitz` runs over
+    them with the dot product `zi._zi_adddot`: the determinant is
     (-1)^n times the constant coefficient, divided by den^n once.  `zero`
     and `one` are the zero and one of the ring; `one` is the determinant of
     the empty grid.
@@ -504,14 +457,9 @@ def ring_det(rows, zero, one):
         return one
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square grid")
-    entries = [e for r in rows for e in r]
-    for e in entries:
-        zero._same_vars(e)
-    den, w, flat = _zi_cleared(entries, n)
-
-    def neg(f):
-        return {e: (-a, -b) for e, (a, b) in f.items()}
-
-    grid = [flat[i:i + n] for i in range(0, n * n, n)]
-    c0 = _berkowitz(grid, lambda u, v: _zi_adddot({}, u, v), neg, {0: (1, 0)})[-1]
-    return _zi_multi(zero.vars, neg(c0) if n % 2 else c0, den ** n, w)
+    for r in rows:
+        for e in r:
+            zero._same_vars(e)
+    den, w, (grid,) = _zi_grids([rows], n)
+    c0 = _berkowitz(grid, lambda u, v: _zi_adddot({}, u, v), _zi_neg, {0: (1, 0)})[-1]
+    return MultiPoly._new(zero.vars, _zi_unpacked(_zi_neg(c0) if n % 2 else c0, den ** n, w, len(zero.vars)))

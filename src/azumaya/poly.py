@@ -5,14 +5,7 @@ leading coefficient nonzero (the zero polynomial is the empty tuple).
 ``MultiPoly`` keeps a map from exponent tuples to nonzero coefficients;
 the canonical term order is graded lexicographic on the declared variable
 order (serialization lists terms by ascending (total degree, exponents)).
-Products run in integer passes over Z[i].  A dense polynomial over Z[i]
-is a list of ``(re, im)`` int pairs, lowest degree first; ``_zx_addmul`` is
-its one product, shared by ``UniPoly.__mul__``, ``higgsing.ode_residual``,
-the Cantor-Zassenhaus step of ``roots`` and ``_zx_dot``, the dot product
-with which ``higgsing.spectral_curve`` runs ``linalg._berkowitz``.
-Multivariate products over Z[i][z_1..z_n] go through ``_zi_addmul`` and its
-dot product ``_zi_adddot``, shared by the matrix products and the trace
-contraction of ``kahler`` and by ``linalg.ring_det``.
+Products run in integer passes over Z[i], in the arithmetic of ``zi``.
 
 The public constructors coerce and validate their input.  Arithmetic
 results are already canonical and go through the trusted ``_new`` of each
@@ -24,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
+from .scalars import GaussianRational, ONE, ZERO, clear_denominators
+from .zi import _zi_addmul, _zi_packed, _zi_unpacked, _zx_addmul, _zx_out
 
 _object_new = object.__new__
 
@@ -150,9 +144,7 @@ class UniPoly:
         den, pairs = clear_denominators(a + b)
         re, im = [0] * (len(a) + len(b) - 1), [0] * (len(a) + len(b) - 1)
         _zx_addmul(re, im, pairs[:len(a)], pairs[len(a):])
-        d2 = den * den
-        # the product of the two leading coefficients is nonzero
-        return UniPoly._new(var, tuple([from_pair(x, y, d2) if x or y else ZERO for x, y in zip(re, im)]))
+        return UniPoly._new(var, _zx_out(re, im, den * den))
 
     __rmul__ = __mul__
 
@@ -398,10 +390,10 @@ class MultiPoly:
                 return MultiPoly._new(self.vars, {})
             return MultiPoly._new(self.vars, {e: a * c for e, a in self.terms.items()})
         self._same_vars(other)
-        den, w, (f, g) = _zi_cleared((self, other))
+        den, w, (f, g) = _zi_packed((self, other))
         acc = {}
         _zi_addmul(acc, f, g)
-        return _zi_multi(self.vars, acc, den * den, w)
+        return MultiPoly._new(self.vars, _zi_unpacked(acc, den * den, w, len(self.vars)))
 
     __rmul__ = __mul__
 
@@ -476,99 +468,6 @@ class MultiPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-# Polynomials over Z[i] for the integer passes.  The operands of a
-# computation are cleared to one denominator once, products are added into
-# an accumulator, and the result comes back with one from_pair per
-# coefficient.  A dense univariate one is a list of (re, im) int pairs,
-# lowest degree first, with no trailing (0, 0) (the zero polynomial is []);
-# its accumulator is two int lists, re and im.  A sparse multivariate one is
-# a dict from packed exponents to (re, im) pairs: the exponents (e_1..e_n)
-# pack into the int sum_i e_i * 2^(w*i) (Kronecker substitution; von zur
-# Gathen & Gerhard, Modern Computer Algebra, section 8.4), so the product of
-# two monomials is the sum of two ints, with no carry while every exponent
-# stays below 2^w.  An accumulator may hold pairs that cancelled to (0, 0).
-
-
-def _zx_addmul(re, im, u, v, sign=1):
-    """Add sign * u * v, for sign 1 or -1, into the coefficients re + im*i
-    (two int lists, long enough) of a dense polynomial over Z[i], for u and
-    v lists of (re, im) pairs, lowest degree first.  A zero coefficient of u
-    is skipped and a real one skips the cross terms.  The indices are
-    counted by hand, which is cheaper than enumerate on the short lists of
-    most products."""
-    i = 0
-    for a, b in u:
-        if sign < 0:
-            a, b = -a, -b
-        k = i
-        if b:
-            for c, d in v:
-                re[k] += a * c - b * d
-                im[k] += a * d + b * c
-                k += 1
-        elif a:
-            for c, d in v:
-                re[k] += a * c
-                im[k] += a * d
-                k += 1
-        i += 1
-
-
-def _zx_dot(u, v):
-    """The sum of the products of u and v entry by entry, up to the end of
-    the shorter, for sequences of dense Z[i] polynomials."""
-    pairs = [(f, g) for f, g in zip(u, v) if f and g]
-    n = max([len(f) + len(g) - 1 for f, g in pairs], default=0)
-    re, im = [0] * n, [0] * n
-    for f, g in pairs:
-        _zx_addmul(re, im, f, g)
-    while n and not (re[n - 1] or im[n - 1]):
-        n -= 1
-    return list(zip(re[:n], im[:n]))
-
-
-def _zi_cleared(polys, factors: int = 2):
-    """(den, width, dicts): den the lcm of the denominators of every
-    coefficient of the MultiPolys, and each one times den as a Z[i]
-    polynomial, its exponent tuples packed into ints of `width` bits per
-    variable, enough for a product of `factors` of them."""
-    den, pairs = clear_denominators([c for p in polys for c in p.terms.values()])
-    w = (factors * max((x for p in polys for e in p.terms for x in e), default=0)).bit_length()
-    it = iter(pairs)
-    return den, w, [{sum(x << w * i for i, x in enumerate(e)): next(it) for e in p.terms} for p in polys]
-
-
-def _zi_addmul(acc, f, g):
-    """Add the product f * g of two Z[i] polynomials into acc."""
-    get = acc.get
-    gs = g.items()
-    for e1, (a, b) in f.items():
-        for e2, (c, d) in gs:
-            e = e1 + e2
-            p = get(e)
-            if p is None:
-                acc[e] = (a * c - b * d, a * d + b * c)
-            else:
-                acc[e] = (p[0] + a * c - b * d, p[1] + a * d + b * c)
-
-
-def _zi_adddot(acc, u, v):
-    """acc plus the sum of the products of u and v entry by entry, up to the
-    end of the shorter, for Z[i] polynomials, with the cancelled terms
-    dropped."""
-    for f, g in zip(u, v):
-        _zi_addmul(acc, f, g)
-    return {e: x for e, x in acc.items() if x[0] or x[1]}
-
-
-def _zi_multi(variables: tuple, acc, den: int, w: int) -> MultiPoly:
-    """The MultiPoly acc / den, its exponents packed at w bits per variable,
-    with one from_pair per nonzero coefficient."""
-    mask, shifts = (1 << w) - 1, [w * i for i in range(len(variables))]
-    return MultiPoly._new(variables, {tuple(e >> s & mask for s in shifts): from_pair(re, im, den)
-                                      for e, (re, im) in acc.items() if re or im})
 
 
 def _trimmed(cs: list) -> tuple:

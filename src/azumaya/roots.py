@@ -21,8 +21,10 @@ from itertools import chain, product
 from math import isqrt
 
 from .errors import SpectrumNotSplit
-from .poly import UniPoly, _zx_addmul
-from .scalars import ZERO, clear_denominators, from_pair
+from .poly import UniPoly
+from .scalars import ZERO, clear_denominators
+from .zi import (_divmod, _eval, _gcd, _gi_div, _gi_inv, _gi_mul, _powmod, _reduce, _sub, _symmetric,
+                 _zx_deriv, _zx_exact_quo)
 
 # exponents e of the Mersenne primes 2^e - 1 (each = 3 mod 4), the first
 # primes of the modular gcd; the first serves alone on the usual input
@@ -30,73 +32,6 @@ _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
 # for q^2 up to this, the roots mod q are found by evaluating at every
 # residue of F_{q^2} rather than by Cantor-Zassenhaus
 _ENUMERATE_MAX = 128
-
-
-def _gi_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gi_inv(x, m):
-    """x^-1 mod m, for m a power of a prime q = 3 (mod 4) and x != 0 mod q."""
-    t = pow(x[0] * x[0] + x[1] * x[1], -1, m)
-    return (x[0] * t % m, -x[1] * t % m)
-
-
-def _eval(f, x, m):
-    """f(x) mod m."""
-    a = b = 0
-    for c, d in reversed(f):
-        a, b = (a * x[0] - b * x[1] + c) % m, (a * x[1] + b * x[0] + d) % m
-    return (a, b)
-
-
-def _reduce(f, q):
-    """f over F_{q^2}: pairs reduced mod q, zero leading pairs dropped."""
-    f = [(a % q, b % q) for a, b in f]
-    while f and f[-1] == (0, 0):
-        f.pop()
-    return f
-
-
-def _sub(f, g, q):
-    n = max(len(f), len(g))
-    f, g = f + [(0, 0)] * (n - len(f)), g + [(0, 0)] * (n - len(g))
-    return _reduce([(a - c, b - d) for (a, b), (c, d) in zip(f, g)], q)
-
-
-def _divmod(f, g, q):
-    """Quotient and remainder of f by g over F_{q^2}; f may be unreduced."""
-    f, quo = list(f), []
-    inv = _gi_inv(g[-1], q)
-    while len(f) >= len(g):
-        a, b = _gi_mul(f.pop(), inv)
-        quo.append((a % q, b % q))
-        k = len(f) - len(g) + 1
-        for j in range(len(g) - 1):
-            a, b = _gi_mul(quo[-1], g[j])
-            f[k + j] = (f[k + j][0] - a, f[k + j][1] - b)
-    return quo[::-1], _reduce(f, q)
-
-
-def _gcd(f, g, q):
-    while g:
-        f, g = g, _divmod(f, g, q)[1]
-    return f
-
-
-def _powmod(f, e, h, q):
-    """f^e mod h over F_{q^2}, by repeated squaring."""
-    def mulmod(u, v):
-        re, im = [0] * (len(u) + len(v) - 1), [0] * (len(u) + len(v) - 1)
-        _zx_addmul(re, im, u, v)
-        return _divmod(list(zip(re, im)), h, q)[1]
-    out = [(1, 0)]
-    while e:
-        if e & 1:
-            out = mulmod(out, f)
-        f = mulmod(f, f)
-        e >>= 1
-    return out
 
 
 def _split(f, q):
@@ -135,10 +70,6 @@ def _primes_3_mod_4():
         q += 4
 
 
-def _deriv(f):
-    return [(k * a, k * b) for k, (a, b) in enumerate(f)][1:]
-
-
 def _monic(h: UniPoly):
     """h cleared to Z[i] and made monic, g(y) = lc^(n-1) h(y / lc); returns
     g, g' and lc, the leading coefficient of the cleared h."""
@@ -148,32 +79,11 @@ def _monic(h: UniPoly):
         g.append(_gi_mul(ck, power))
         power = _gi_mul(power, c[-1])
     g.reverse()
-    return g, _deriv(g), c[-1]
+    return g, _zx_deriv(g), c[-1]
 
 
 def _squarefree_mod(g, dg, q):
     return len(_gcd(_reduce(g, q), _reduce(dg, q), q)) == 1
-
-
-def _symmetric(f, m):
-    """The pairs of f mod m as residues in (-m/2, m/2]."""
-    return [tuple(c - m if c > m // 2 else c for c in x) for x in f]
-
-
-def _exact_quo(f, d):
-    """f / d over Z[i] for a monic d, or None if d does not divide f."""
-    f, k = list(f), len(d) - 1
-    quo = []
-    for top in range(len(f) - 1, k - 1, -1):
-        a, b = f[top]
-        quo.append((a, b))
-        for j in range(k):
-            c, e = d[j]
-            x, y = f[top - k + j]
-            f[top - k + j] = (x - a * c + b * e, y - a * e - b * c)
-    if any(x != (0, 0) for x in f[:k]):
-        return None
-    return quo[::-1]
 
 
 def _squarefree_part(g, dg):
@@ -207,8 +117,8 @@ def _squarefree_part(g, dg):
             m *= q
         if m > 2 * bound:
             cand = _symmetric(d, m)
-            h = _exact_quo(g, cand)
-            if h is not None and _exact_quo(dg, cand) is not None:
+            h = _zx_exact_quo(g, cand)
+            if h is not None and _zx_exact_quo(dg, cand) is not None:
                 return h
 
 
@@ -249,24 +159,22 @@ def split_roots(p: UniPoly):
         h, dh, q = g, dg, 3
         if not _squarefree_mod(g, dg, q):
             h = _squarefree_part(g, dg)
-            dh = _deriv(h)
+            dh = _zx_deriv(h)
             q = next(q for q in _primes_3_mod_4() if _squarefree_mod(h, dh, q))
         bound = _fujiwara(g)
-        norm = lc[0] * lc[0] + lc[1] * lc[1]
         for r in _roots_mod(h, q):
             y = _lift(h, dh, r, q, bound)
             # synthetic division: its remainder g(y) certifies the root
             mult, linear = 0, [(-y[0], -y[1]), (1, 0)]
-            while (quo := _exact_quo(g, linear)) is not None:
+            while (quo := _zx_exact_quo(g, linear)) is not None:
                 g, mult = quo, mult + 1
             if mult:
-                # y / lc
-                roots[from_pair(y[0] * lc[0] + y[1] * lc[1], y[1] * lc[0] - y[0] * lc[1], norm)] = mult
+                roots[_gi_div(y, lc)] = mult
         if len(g) > 1:
             # what is left of p: coefficient j is p.lc * g_j / lc^(k - j)
-            out, c, den = [], (1, 0), 1
+            out, c = [], (1, 0)
             for x in reversed(g):
-                out.append(p.coeffs[-1] * from_pair(*_gi_mul(x, c), den))
-                c, den = _gi_mul(c, (lc[0], -lc[1])), den * norm
+                out.append(p.coeffs[-1] * _gi_div(x, c))
+                c = _gi_mul(c, lc)
             raise SpectrumNotSplit(f"no linear factorization over Q(i): {UniPoly(p.var, out[::-1])}")
     return tuple(sorted(roots.items(), key=lambda kv: kv[0].sort_key()))

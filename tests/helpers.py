@@ -14,8 +14,9 @@ from fractions import Fraction
 from operator import add
 
 from azumaya.linalg import Matrix
-from azumaya.poly import MultiPoly, UniPoly, _zx_addmul, monomials_up_to
+from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
 from azumaya.scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair, gr
+from azumaya.zi import _zx_addmul
 
 SMALL_POOL = [gr(0), gr(1), gr(-1), gr(2), gr(0, 1), gr(0, -1), gr(Fraction(1, 2))]
 
@@ -131,6 +132,19 @@ def dominates(lam, mu) -> bool:
         sm += cm[k] if k < len(cm) else 0
         if sm > sl:
             return False
+    return True
+
+
+def loop_precede(j1, j2) -> bool:
+    """The closure order as orbits.precede first decided it: equal
+    support-length data and rank(J1^j) <= rank(J2^j) at every point for
+    every j from 1 up to the largest part."""
+    if j1.support() != j2.support():
+        return False
+    for (_, p1), (_, p2) in zip(j1.entries, j2.entries):
+        for j in range(1, max(p1[0] if p1 else 0, p2[0] if p2 else 0) + 1):
+            if sum(max(x - j, 0) for x in p1) > sum(max(x - j, 0) for x in p2):
+                return False
     return True
 
 

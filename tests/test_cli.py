@@ -492,6 +492,12 @@ def _power_pullback(k):
             "form": [[{"exps": [k], "coef": 1}]]}
 
 
+def _curve(r, d):
+    """A spectral-curve request on the r x r matrix with z^d at the top left
+    and 1 elsewhere."""
+    return {"phi": [[[0] * d + [1] if i == j == 0 else [1] for j in range(r)] for i in range(r)]}
+
+
 def _one_term_trace(n, s):
     """A one-term form of degree s on n variables, each slot d(x_1...x_n)."""
     dm = {"dm": [[[{"exps": [1] * n, "coef": 1}]]]}
@@ -523,10 +529,28 @@ def _one_term_trace(n, s):
          f"kahler trace: 10^5 index tuples exceed the limit of {jsonio.MAX_FORM_INDICES}"),
         (["kahler", "trace"], {"form": {"vars": ["x", "y"], "r": 1, "degree": 10**999, "terms": []}},
          f"kahler trace: 2^{10**999} index tuples exceed the limit of {jsonio.MAX_FORM_INDICES}"),
+        (["orbit-extremes"], {"support": [{"point": [0], "length": jsonio.MAX_SUPPORT_LENGTH + 1}]},
+         f"support lengths exceed the limit of {jsonio.MAX_SUPPORT_LENGTH} in total"),
+        (["orbit-extremes"], {"support": [{"point": [0], "length": jsonio.MAX_SUPPORT_LENGTH // 2},
+                                          {"point": [1], "length": jsonio.MAX_SUPPORT_LENGTH // 2 + 1}]},
+         f"support lengths exceed the limit of {jsonio.MAX_SUPPORT_LENGTH} in total"),
+        (["orbit-extremes"], {"support": [{"point": [0], "length": 10**999}]},
+         f"support lengths exceed the limit of {jsonio.MAX_SUPPORT_LENGTH} in total"),
+        (["higgsing", "solve"], {"A": [[[1] * (jsonio.MAX_EXPONENT + 2), [0]], [[0], [0]]], "lambda": 1},
+         f"a coefficient array of degree {jsonio.MAX_EXPONENT + 1} exceeds the limit of {jsonio.MAX_EXPONENT}"),
+        (["spectral-curve"], {"phi": [[[1] * (jsonio.MAX_EXPONENT + 2)]]},
+         f"a coefficient array of degree {jsonio.MAX_EXPONENT + 1} exceeds the limit of {jsonio.MAX_EXPONENT}"),
+        (["spectral-curve"], _curve(2, jsonio.MAX_CURVE_DEGREE // 2 + 1),
+         f"spectral-curve: the curve degree r*d = 2*{jsonio.MAX_CURVE_DEGREE // 2 + 1} exceeds the limit of "
+         f"{jsonio.MAX_CURVE_DEGREE}"),
+        (["spectral-curve"], _curve(3, jsonio.MAX_CURVE_DEGREE // 3 + 1),
+         f"spectral-curve: the curve degree r*d = 3*{jsonio.MAX_CURVE_DEGREE // 3 + 1} exceeds the limit of "
+         f"{jsonio.MAX_CURVE_DEGREE}"),
     ],
     ids=["image-D300", "image-D13", "image-default-r13", "weyl-N3000", "weyl-N316-r2", "weyl-N2-r100000",
          "weyl-N1", "pullback-exponent-1001", "pullback-exponent-20000", "trace-3-vars-degree-9",
-         "trace-10-vars-degree-5", "trace-declared-degree"],
+         "trace-10-vars-degree-5", "trace-declared-degree", "support-one-past", "support-two-points-one-past",
+         "support-1000-digits", "dense-degree-one-past", "curve-dense-degree-one-past", "curve-r2-one-past", "curve-r3-one-past"],
 )
 def test_work_limits_refuse_up_front(command, payload, detail, monkeypatch, capsys):
     start = time.perf_counter()
@@ -564,6 +588,32 @@ def test_requests_just_inside_the_work_limits_are_answered(monkeypatch, capsys):
     assert 3**8 <= jsonio.MAX_FORM_INDICES < 3**9
     code, out = run_main(["kahler", "trace"], json.dumps(_one_term_trace(3, 8)), monkeypatch, capsys)
     assert code == 0 and len(out["form"]) == 3**8
+    n = jsonio.MAX_SUPPORT_LENGTH
+    code, out = run_main(["orbit-extremes"], json.dumps({"support": [{"point": [0], "length": n - 1},
+                                                                     {"point": [1], "length": 1}]}),
+                         monkeypatch, capsys)
+    assert code == 0 and [len(e["partition"]) for e in out["minimal"]] == [n - 1, 1]
+    k = jsonio.MAX_EXPONENT  # (a1 - a4)^2 + 4 a2 a3 = z^2k
+    code, out = run_main(["higgsing", "solve"], json.dumps({"A": [[[0] * k + [1], [0]], [[0], [0]]], "lambda": 1}),
+                         monkeypatch, capsys)
+    assert (code, out) == (0, {"solvable": False})
+    d = jsonio.MAX_CURVE_DEGREE // 2
+    code, out = run_main(["spectral-curve"], json.dumps(_curve(2, d)), monkeypatch, capsys)
+    assert code == 0 and max(t["exps"][0] for t in out["curve"]) == d
+
+
+def test_the_orbit_order_of_a_1000_digit_block_is_answered(monkeypatch, capsys):
+    # a full block of size 10^999 and the hook below it
+    full = [{"point": [0], "partition": [10**999]}]
+    hook = [{"point": [0], "partition": [10**999 - 1, 1]}]
+    start = time.perf_counter()
+    code, out = run_main(["orbit-compare"], json.dumps({"j1": full, "j2": hook}), monkeypatch, capsys)
+    assert (code, out) == (0, {"j1_precedes_j2": False, "j2_precedes_j1": True})
+    for profile, valid in (([full, hook], True), ([hook, full], False)):
+        payload = {"tau": "1i", "components": [], "profile": profile}
+        code, out = run_main(["torus", "validate-profile"], json.dumps(payload), monkeypatch, capsys)
+        assert (code, out) == (0, {"valid": valid})
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("text", ["[]", '"x"', "5", "null"])

@@ -18,7 +18,7 @@ from azumaya.orbits import (
     precede,
 )
 from azumaya.scalars import gr
-from helpers import dominates, jordan_nilpotent, rand_invertible
+from helpers import dominates, jordan_nilpotent, loop_precede, rand_invertible
 
 
 def test_jordan_data_examples():
@@ -88,6 +88,15 @@ def test_precede_matches_dominance_order():
             j1 = JordanData([((0,), lam)])
             j2 = JordanData([((0,), mu)])
             assert precede(j1, j2) == dominates(lam, mu), (lam, mu)
+
+
+def test_precede_agrees_with_the_rank_loop_on_all_pairs_up_to_10():
+    one_point = [JordanData([((0,), p)]) for n in range(1, 11) for p in partitions_of(n)]
+    two_points = [JordanData([((0,), p), ((gr(1, 1),), q)])
+                  for n in range(1, 5) for m in range(1, 5) for p in partitions_of(n) for q in partitions_of(m)]
+    for labels in (one_point, two_points):
+        for a, b in itertools.product(labels, repeat=2):
+            assert precede(a, b) == loop_precede(a, b), (a, b)
 
 
 def test_rank_formula_matches_matrix_powers():

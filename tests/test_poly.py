@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from azumaya.linalg import Matrix
-from azumaya.poly import MultiPoly, UniPoly, _zx_addmul, monomials_up_to
+from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
 from azumaya.scalars import GaussianRational, gr
 from helpers import SMALL_POOL, rand_matrix, rand_scalar, unipoly_mul
 
@@ -185,23 +185,6 @@ def test_products_match_the_object_level_oracle():
         assert got.coeffs == want.coeffs
     with pytest.raises(ValueError, match="^variable mismatch: z vs v$"):
         z * UniPoly.x("v")
-
-
-def test_zx_addmul_adds_sign_times_the_product_into_the_accumulator():
-    u = [(1, 2), (3, 0), (0, 0), (0, -1)]  # 1+2i + 3z - i z^3
-    v = [(2, -1), (-4, 0), (5, 3)]
-    start_re, start_im = [7, -1, 0, 2, 9, 4, 6], [-7, 3, 1, 0, -2, 5, 8]
-    want = [GaussianRational(0)] * 7
-    for i, x in enumerate(u):
-        for j, y in enumerate(v, i):
-            want[j] += gr(*x) * gr(*y)
-    for sign in (1, -1):
-        re, im = list(start_re), list(start_im)
-        _zx_addmul(re, im, u, v, sign)
-        assert [gr(x, y) for x, y in zip(re, im)] == [gr(x, y) + sign * w
-                                                       for x, y, w in zip(start_re, start_im, want)]
-        _zx_addmul(re, im, v, u, -sign)  # the product commutes, so this undoes it
-        assert (re, im) == (start_re, start_im)
 
 
 def _assert_canonical_multi(p, variables):

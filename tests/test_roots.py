@@ -219,8 +219,8 @@ def test_an_unlucky_prime_is_rejected_by_the_certificate(monkeypatch):
     p = (z - 1) ** 2 * quadratic
     monkeypatch.setattr(roots_module, "_MERSENNE_EXPONENTS", (31,) + roots_module._MERSENNE_EXPONENTS)
     tried = []
-    exact_quo = roots_module._exact_quo
-    monkeypatch.setattr(roots_module, "_exact_quo",
+    exact_quo = roots_module._zx_exact_quo
+    monkeypatch.setattr(roots_module, "_zx_exact_quo",
                         lambda f, d: tried.append((len(d) - 1, exact_quo(f, d) is not None)) or exact_quo(f, d))
     with pytest.raises(SpectrumNotSplit) as err:
         split_roots(p)
