@@ -169,11 +169,12 @@ def run_higgsing_solve(payload):
 
 
 def run_spectral_curve(payload):
-    phi = jsonio.parse_poly_matrix(payload["phi"] if "phi" in payload else payload)
-    d = max(e.degree for row in phi.rows for e in row)
-    if phi.nrows * d > jsonio.MAX_CURVE_DEGREE:
-        raise InputError(f"spectral-curve: the curve degree r*d = {phi.nrows}*{d} exceeds the limit of "
+    obj = payload["phi"] if "phi" in payload else payload
+    r, d = jsonio.poly_matrix_degree(obj)  # before the coefficients are parsed
+    if r * d > jsonio.MAX_CURVE_DEGREE:
+        raise InputError(f"spectral-curve: the curve degree r*d = {r}*{d} exceeds the limit of "
                          f"{jsonio.MAX_CURVE_DEGREE}")
+    phi = jsonio.parse_poly_matrix(obj)
     curve = jsonio.build(spectral_curve, phi)
     return {"vars": list(curve.vars), "curve": jsonio.terms_json(curve)}
 

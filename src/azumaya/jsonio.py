@@ -434,6 +434,22 @@ def parse_poly_matrix(obj, var: str = "z") -> PolyMatrix:
     return build(PolyMatrix, grid, var)
 
 
+def poly_matrix_degree(obj) -> tuple:
+    """(r, d) for a polynomial matrix payload, read before its coefficients
+    are: r the number of rows and d the largest degree of an entry, at least
+    0.  Each coefficient array is read from its end down to its last nonzero
+    scalar, so trailing zeros do not count.  A malformed shape, and an array
+    longer than MAX_EXPONENT allows, count for nothing here;
+    `parse_poly_matrix` refuses them."""
+    rows = obj.get("entries") if isinstance(obj, dict) else obj
+    rows = rows if isinstance(rows, list) else []
+    d = 0
+    for e in (e for row in rows if isinstance(row, list) for e in row if isinstance(e, list)):
+        if len(e) <= MAX_EXPONENT + 1:
+            d = next((k for k in range(len(e) - 1, d, -1) if parse_scalar(e[k])), d)
+    return len(rows), d
+
+
 def poly_matrix_json(b: PolyMatrix):
     return [[unipoly_json(e) for e in row] for row in b.entries]
 

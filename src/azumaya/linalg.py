@@ -3,9 +3,14 @@
 `Matrix` is the one dense matrix type.  Its entries lie in Q(i), in
 Q(i)[z] (the subclass `higgsing.PolyMatrix`) or in Q(i)[z_1..z_n] (the
 subclass `kahler.MPolyMatrix`); the subclasses only coerce their entries
-and add domain methods.  Rank, kernels and solves read one elimination,
-`_echelon`, a one-step Bareiss (fraction-free) elimination over Z[i] with
-back substitution over Z[i].  Every determinant is one division-free recurrence,
+and add domain methods.  A product over Q(i) runs over Z[i], each row of
+the left factor and each column of the right one cleared by its own
+denominator.  Rank, kernels and solves read one elimination, `_echelon`,
+a one-step Bareiss (fraction-free) elimination over Z[i] on rows that the
+caller has cleared, with back substitution over Z[i] (`_kernel`).  The
+kernel chains of `kernel_chain` and `eigen_chains` stay on those integer
+rows from step to step, and only their last basis becomes Q(i) values.
+Every determinant is one division-free recurrence,
 Berkowitz's (`_berkowitz`), run over integers after the input is cleared
 of its denominators once: char_poly over Z[i], `higgsing.spectral_curve`
 over the dense Z[i][z] lists of `zi`, and ring_det, the determinant of a
@@ -13,18 +18,20 @@ grid of multivariate polynomials, over the sparse Z[i][z_1..z_n] dicts of
 `zi`.  Each passes its ring's dot product, the one place where the
 recurrence multiplies.  min_poly runs its Krylov chains over Z[i] too, on
 the matrix cleared of its denominators once, with a fraction-free
-incremental echelon.
+incremental echelon, and takes no lcm of polynomials: each start vector
+is out(m) e_i for out the product so far.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .poly import MultiPoly, UniPoly
 from .roots import split_roots
 from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
-from .zi import _gi_div, _zi_adddot, _zi_cleared, _zi_cross, _zi_dot, _zi_grids, _zi_neg, _zi_quo, _zi_unpacked
+from .zi import (_gi_div, _zi_adddot, _zi_cleared, _zi_cross, _zi_dot, _zi_grids, _zi_neg, _zi_quo, _zi_unpacked,
+                 _zx_dot)
 
 
 class Matrix:
@@ -138,6 +145,11 @@ class Matrix:
         if isinstance(other, Matrix):
             self._check_product(other)
             cols = tuple(zip(*other.rows))
+            if self.vars == other.vars == ():
+                # over Z[i]: each row and each column cleared by its own denominator
+                cols = [clear_denominators(c) for c in cols]
+                return self._new([from_pair(*_zi_dot(r, c), d * e) for e, c in cols]
+                                 for d, r in map(clear_denominators, self.rows))
             return self._new([_dot(r, c) for c in cols] for r in self.rows)
         if not isinstance(other, (UniPoly, MultiPoly)):
             other = GaussianRational.coerce(other)
@@ -215,8 +227,11 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def commute(mats) -> bool:
-    """True iff the matrices commute pairwise."""
-    return all(commutator(a, b).is_zero() for i, a in enumerate(mats) for b in mats[i + 1 :])
+    """True iff the matrices commute pairwise: ab and ba are compared entry
+    by entry, with no commutator built."""
+    if len(mats) > 1 and any(not m.is_square() or m.nrows != mats[0].nrows for m in mats):
+        raise ValueError("commutator needs square matrices of equal size")
+    return all((a * b).rows == (b * a).rows for i, a in enumerate(mats) for b in mats[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +240,11 @@ def commute(mats) -> bool:
 
 def _echelon(rows, ncols: int):
     """The pivot rows of a one-step Bareiss (fraction-free) elimination of
-    rows over Q(i): (pivot column, row) pairs, the columns increasing.
+    rows over Z[i]: (pivot column, row) pairs, the columns increasing.
 
-    Each row is cleared of its denominators to Z[i] (re, im) pairs.  The
-    pivot row top of column c is the first remaining row nonzero there, and
+    The rows are lists of (re, im) pairs, each row already cleared of its
+    denominators by the caller; they are rewritten in place.  The pivot
+    row top of column c is the first remaining row nonzero there, and
     each row with f = row[c] != 0 becomes (top[c] * row - f * top) / d,
     exactly, d being the pivot that last rewrote it (Bareiss, Math. Comp.
     22, 1968).  Bareiss would also scale a row with f = 0 by the pivot over
@@ -236,7 +252,7 @@ def _echelon(rows, ncols: int):
     by that division by d, or by scaling a pivot row by the pivot before
     over d.  Entries left of column c are not cleared, as nothing reads them.
     """
-    rest = [[clear_denominators(r)[1], (1, 0)] for r in rows]
+    rest = [[row, (1, 0)] for row in rows]
     out = []
     prev = (1, 0)
     for c in range(ncols):
@@ -260,7 +276,77 @@ def _echelon(rows, ncols: int):
 
 def rank(m: Matrix) -> int:
     """The number of pivots of `_echelon`."""
-    return len(_echelon(m.rows, m.ncols))
+    return len(_echelon([clear_denominators(r)[1] for r in m.rows], m.ncols))
+
+
+def _kernel(rows, ncols: int):
+    """q * v over Z[i] for each `kernel_basis` vector v of the pair rows,
+    q being the last `_echelon` pivot left of v's free column (Cramer's
+    rule puts q * v over Z[i], and back substitution divides exactly)."""
+    echelon = _echelon(rows, ncols)
+    t = 0  # the number of pivot rows left of j
+    for j in range(ncols):
+        if t < len(echelon) and echelon[t][0] == j:
+            t += 1
+            continue
+        q = echelon[t - 1][1][echelon[t - 1][0]] if t else (1, 0)
+        w = [(0, 0)] * j + [q] + [(0, 0)] * (ncols - j - 1)
+        for c, row in reversed(echelon[:t]):  # w is 0 left of c and right of j
+            x, y = _zi_quo([_zi_dot(row[c + 1:j + 1], w[c + 1:j + 1])], row[c])[0]
+            w[c] = (-x, -y)
+        yield w
+
+
+def _primitive(w):
+    """The Z[i] vector w divided by the gcd of its integer parts."""
+    g = gcd(*(x for pair in w for x in pair))
+    return w if g == 1 else [(x // g, y // g) for x, y in w]
+
+
+def _cleared(w):
+    """D * w / q, for q the last nonzero entry of the Z[i] vector w and D
+    the lcm of the denominators of w / q: w times conj(q), made primitive.
+    A `kernel_basis` vector is w / q, 1 at its free column and 0 after it,
+    so its last nonzero entry is D."""
+    a, b = next(x for x in reversed(w) if x != (0, 0))
+    return _primitive([(x * a + y * b, y * a - x * b) for x, y in w])
+
+
+def _canonical(w):
+    """The GaussianRational vector w / q, for q the last nonzero entry of the
+    Z[i] vector w."""
+    q = next(x for x in reversed(w) if x != (0, 0))
+    return tuple(_gi_div(x, q) if x != (0, 0) else ZERO for x in w)
+
+
+def kernel_basis(m: Matrix):
+    """Canonical exact basis of the right null space (possibly empty): one
+    vector per free column, 1 there, 0 at the other free columns and after."""
+    return tuple(map(_canonical, _kernel([clear_denominators(r)[1] for r in m.rows], m.ncols)))
+
+
+def _kernel_chain(rows, ncols: int, dim: int):
+    """`kernel_chain` over Z[i], for rows = [(s, pairs)]: the pairs of s
+    times a row of n, for an int s > 0."""
+    ker = [_cleared(w) for w in _kernel([list(r) for _, r in rows], ncols)]
+    dims = [len(ker)]
+    while dims[-1] < dim:
+        # ker n^(j+1) = {v : n v in ker n^j}, the kernel of [K | n] for K a
+        # basis of ker n^j, read without K's coordinates; the columns of K
+        # all hold pivots, so the basis read off is kernel_basis(n^(j+1)).
+        # Column l of K is v / D for a vector v of ker: row a of [K | n] is
+        # cleared by t, the lcm of s and of the denominators D / gcd(D, v[a])
+        k, qs = len(ker), [next(x for x, _ in reversed(v) if x) for v in ker]
+        aug = []
+        for a, (s, r) in enumerate(rows):
+            t = lcm(s, *(q // gcd(q, *v[a]) for v, q in zip(ker, qs)))
+            aug.append([(v[a][0] * t // q, v[a][1] * t // q) for v, q in zip(ker, qs)]
+                       + [(t // s * x, t // s * y) for x, y in r])
+        ker = [_cleared(w[k:]) for w in _kernel(aug, k + ncols)]
+        if len(ker) == dims[-1]:
+            raise ArithmeticError(f"the kernels of the powers settle at dimension {len(ker)}, below {dim}")
+        dims.append(len(ker))
+    return dims, tuple(map(_canonical, ker))
 
 
 def kernel_chain(n: Matrix, dim: int):
@@ -272,55 +358,28 @@ def kernel_chain(n: Matrix, dim: int):
     list ends with the first power whose kernel reaches it.  Raises
     ArithmeticError if the kernels settle below dim.
     """
-    ker = kernel_basis(n)
-    dims = [len(ker)]
-    while dims[-1] < dim:
-        # ker n^(j+1) = {v : n v in ker n^j}, the kernel of [K | n] for K a
-        # basis of ker n^j, read without K's coordinates; the columns of K
-        # all hold pivots, so the basis read off is kernel_basis(n^(j+1))
-        k = len(ker)
-        aug = Matrix([tuple(v[a] for v in ker) + row for a, row in enumerate(n.rows)])
-        ker = tuple(v[k:] for v in kernel_basis(aug))
-        if len(ker) == dims[-1]:
-            raise ArithmeticError(f"the kernels of the powers settle at dimension {len(ker)}, below {dim}")
-        dims.append(len(ker))
-    return dims, ker
+    return _kernel_chain([clear_denominators(r) for r in n.rows], n.ncols, dim)
 
 
 def eigen_chains(m: Matrix):
     """(ev, dims, basis) for each root ev of char_poly(m), with dims and
     basis the `kernel_chain` of m - ev up to its multiplicity: basis spans
-    the generalized eigenspace.  Raises SpectrumNotSplit if char_poly(m)
-    does not split over Q(i)."""
-    ident = Matrix.identity(m.nrows)
-    return [(ev, *kernel_chain(m - ident * ev, mult)) for ev, mult in split_roots(char_poly(m, var="z"))]
-
-
-def kernel_basis(m: Matrix):
-    """Canonical exact basis of the right null space (possibly empty): one
-    vector per free column, 1 there, 0 at the other free columns and after.
-    Times q, the last `_echelon` pivot left of its free column, a vector lies
-    over Z[i] (Cramer's rule), and back substitution divides exactly."""
-    echelon = _echelon(m.rows, m.ncols)
-    basis = []
-    t = 0  # the number of pivot rows left of j
-    for j in range(m.ncols):
-        if t < len(echelon) and echelon[t][0] == j:
-            t += 1
-            continue
-        q = echelon[t - 1][1][echelon[t - 1][0]] if t else (1, 0)
-        cols, w = [j], [q]
-        for c, row in reversed(echelon[:t]):
-            x, y = _zi_quo([_zi_dot([row[k] for k in cols], w)], row[c])[0]
-            cols.append(c)
-            w.append((-x, -y))
-        v = [ZERO] * m.ncols
-        v[j] = ONE
-        for c, x in zip(cols[1:], w[1:]):
-            if x != (0, 0):
-                v[c] = _gi_div(x, q)
-        basis.append(tuple(v))
-    return tuple(basis)
+    the generalized eigenspace.  Each row of m is cleared once, to den_a
+    times it, and row a of m - ev, for ev = (x + y*i) / e, is held as
+    lcm(den_a, e) times it.
+    Raises SpectrumNotSplit if char_poly(m) does not split over Q(i)."""
+    rows = [clear_denominators(r) for r in m.rows]
+    out = []
+    for ev, mult in split_roots(char_poly(m, var="z")):
+        e, ((x, y),) = clear_denominators([ev])
+        shifted = []
+        for a, (d, r) in enumerate(rows):
+            t = lcm(d, e)
+            r = [(t // d * u, t // d * v) for u, v in r]
+            r[a] = (r[a][0] - t // e * x, r[a][1] - t // e * y)
+            shifted.append((t, r))
+        out.append((ev, *_kernel_chain(shifted, m.ncols, mult)))
+    return out
 
 
 def solve_exact(a: Matrix, b: Matrix) -> Matrix:
@@ -384,36 +443,31 @@ def char_poly(m: Matrix, var: str = "lambda") -> UniPoly:
     return UniPoly._new(var, tuple(from_pair(re, im, den ** j) for j, (re, im) in enumerate(c))[::-1])
 
 
-def _krylov_min_poly(a, den: int, i: int, var: str) -> UniPoly:
-    """Monic minimal polynomial of m = a / den relative to the i-th standard
-    basis vector, a being a grid of (re, im) int pairs.
+def _krylov_min_poly(a, v):
+    """The monic minimal polynomial of a relative to v, a being a grid and v
+    a vector of (re, im) int pairs: a list of pairs, lowest degree first.
 
-    The Krylov vectors v_k = a^k e_i feed a fraction-free incremental
-    echelon: each new vector is cross-multiplied against the rows kept so
-    far, each kept row carrying its combination of v_0..v_k, and divided by
-    the integer content of row and combination together.  The first vector
-    that reduces to zero gives the relation sum_j c_j v_j = 0, that is the
-    minimal polynomial sum_j (c_j / c_k) x^j of a relative to e_i; for m
-    the coefficient of x^j is divided by den^(k-j) besides.
+    The Krylov vectors a^k v feed a fraction-free incremental echelon: each
+    new vector is cross-multiplied against the rows kept so far, each kept
+    row carrying its combination of v_0..v_k, and divided by the integer
+    content of row and combination together.  The first vector that reduces
+    to zero gives the relation sum_j c_j a^j v = 0, that is the polynomial
+    sum_j (c_j / c_k) x^j.  It divides the characteristic polynomial of a,
+    monic over Z[i], so by Gauss's lemma each quotient is exact.
     """
-    n = len(a)
     kept = []  # (pivot column, reduced vector, combination)
-    v = [(0, 0)] * n
-    v[i] = (1, 0)
-    for k in range(n + 1):
+    for k in range(len(a) + 1):
         w, comb = v, [(0, 0)] * k + [(1, 0)]
         for c, row, rcomb in kept:
-            fr, fi = w[c]
-            if not (fr or fi):
-                continue
-            w = _zi_cross(w, row, row[c], (fr, fi))
-            comb = _zi_cross(comb, rcomb + [(0, 0)] * (len(comb) - len(rcomb)), row[c], (fr, fi))
+            f = w[c]
+            if f != (0, 0):
+                w = _zi_cross(w, row, row[c], f)
+                comb = _zi_cross(comb, rcomb + [(0, 0)] * (len(comb) - len(rcomb)), row[c], f)
         piv = next((j for j, (x, y) in enumerate(w) if x or y), None)
-        g = (gcd(*(x for pair in w for x in pair), *(x for pair in comb for x in pair)), 0)
-        w, comb = _zi_quo(w, g), _zi_quo(comb, g)
         if piv is None:
-            return UniPoly._new(var, tuple(_gi_div(x, comb[k], den ** (k - j)) for j, x in enumerate(comb)))
-        kept.append((piv, w, comb))
+            return _zi_quo(comb, comb[k])
+        g = (gcd(*(x for pair in w for x in pair), *(x for pair in comb for x in pair)), 0)
+        kept.append((piv, _zi_quo(w, g), _zi_quo(comb, g)))
         v = [_zi_dot(row, v) for row in a]
     raise AssertionError("Krylov chain exceeded matrix size")  # pragma: no cover
 
@@ -421,21 +475,32 @@ def _krylov_min_poly(a, den: int, i: int, var: str) -> UniPoly:
 def min_poly(m: Matrix, var: str = "z") -> UniPoly:
     """Monic generator of the vanishing ideal {f : f(m) = 0}.
 
-    Computed as the lcm of the Krylov-local minimal polynomials of the
-    standard basis vectors, over den * m with den the lcm of all the
-    denominators of m; stops early once the degree reaches the size.
+    Over a = den * m, den the lcm of all the denominators of m, with no
+    lcm of polynomials: for out the minimal polynomial of a on the Krylov
+    spaces of e_0..e_(i-1), w = out(a) e_i has the minimal polynomial
+    mu_(e_i) / gcd(mu_(e_i), out) (Augot & Camion, Linear Algebra Appl.
+    260, 1997), so out times it, the local `_krylov_min_poly` of w, is the
+    lcm of out and mu_(e_i).  w is taken by Horner's rule over Z[i] and made
+    primitive, and e_i is skipped when w = 0.  Stops once the degree reaches
+    the size; at the end the coefficient of x^j of out, of degree d, is
+    divided by den^(d - j).
     """
     if not m.is_square():
         raise ValueError("minimal polynomial of a non-square matrix")
     n = m.nrows
     den, a = _zi_cleared(m.rows)
-    out = UniPoly.one(var)
+    out = [(1, 0)]
     for i in range(n):
-        local = _krylov_min_poly(a, den, i, var)
-        out = local if not out.degree else out.lcm(local)
-        if out.degree == n:
+        w = [(int(j == i), 0) for j in range(n)]  # out is monic
+        for x, y in reversed(out[:-1]):
+            w = [_zi_dot(row, w) for row in a]
+            w[i] = (w[i][0] + x, w[i][1] + y)
+        if not any(x or y for x, y in w):
+            continue
+        out = _zx_dot([_krylov_min_poly(a, _primitive(w))], [out])
+        if len(out) > n:
             break
-    return out
+    return UniPoly._new(var, tuple(from_pair(x, y, den ** j) for j, (x, y) in enumerate(reversed(out)))[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from itertools import chain, product
 from math import isqrt
+from operator import itemgetter
 
 from .errors import SpectrumNotSplit
 from .poly import UniPoly
@@ -141,19 +142,22 @@ def _roots_mod(h, q):
 def split_roots(p: UniPoly):
     """Root multiset of p over Q(i), as ((root, multiplicity), ...) sorted
     by (re, im).  Raises SpectrumNotSplit if p has an irreducible factor of
-    degree >= 2 over Q(i), and ValueError on the zero polynomial."""
+    degree >= 2 over Q(i), and ValueError on the zero polynomial.  Every
+    root is y / lc, so the roots sort by the Gaussian integer y * conj(lc),
+    a positive multiple of the root."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no root multiset")
-    roots = {}
+    roots = []  # (sort key, root, multiplicity)
     # strip roots at 0 first so constant terms below are nonzero
     k0 = 0
     while k0 <= p.degree and p.coeffs[k0].is_zero():
         k0 += 1
     if k0:
-        roots[ZERO] = k0
+        roots.append(((0, 0), ZERO, k0))
         p = UniPoly(p.var, p.coeffs[k0:])
     if p.degree == 1:
-        roots[-p.coeffs[0] / p.coeffs[1]] = 1
+        root = -p.coeffs[0] / p.coeffs[1]
+        roots.append((clear_denominators([root])[1][0], root, 1))
     elif p.degree >= 2:
         g, dg, lc = _monic(p)
         h, dh, q = g, dg, 3
@@ -169,7 +173,7 @@ def split_roots(p: UniPoly):
             while (quo := _zx_exact_quo(g, linear)) is not None:
                 g, mult = quo, mult + 1
             if mult:
-                roots[_gi_div(y, lc)] = mult
+                roots.append((_gi_mul(y, (lc[0], -lc[1])), _gi_div(y, lc), mult))
         if len(g) > 1:
             # what is left of p: coefficient j is p.lc * g_j / lc^(k - j)
             out, c = [], (1, 0)
@@ -177,4 +181,4 @@ def split_roots(p: UniPoly):
                 out.append(p.coeffs[-1] * _gi_div(x, c))
                 c = _gi_mul(c, lc)
             raise SpectrumNotSplit(f"no linear factorization over Q(i): {UniPoly(p.var, out[::-1])}")
-    return tuple(sorted(roots.items(), key=lambda kv: kv[0].sort_key()))
+    return tuple((root, mult) for _, root, mult in sorted(roots, key=itemgetter(0)))

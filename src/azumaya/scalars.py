@@ -46,6 +46,9 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:  # the common case: already canonical over 1
+            self._a, self._b, self._d = re, im, 1
+            return
         if not all(isinstance(x, (int, str, Fraction)) for x in (re, im)):
             raise TypeError(f"cannot interpret {(re, im)!r} as exact rationals")
         re, im = (Fraction(x) if isinstance(x, str) else x for x in (re, im))

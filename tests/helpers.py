@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import add
 
 from azumaya.linalg import Matrix
 from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
 from azumaya.scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair, gr
-from azumaya.zi import _zx_addmul
+from azumaya.zi import _gi_div, _zi_cleared, _zi_cross, _zi_dot, _zi_quo, _zx_addmul
 
 SMALL_POOL = [gr(0), gr(1), gr(-1), gr(2), gr(0, 1), gr(0, -1), gr(Fraction(1, 2))]
 
@@ -63,6 +64,49 @@ def brute_min_poly(m: Matrix, var: str = "z") -> UniPoly:
             p = UniPoly(var, coeffs)
             return p.monic()
     raise AssertionError("no vanishing polynomial of degree <= r")
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomial as the lcm of the Krylov-local ones, over Q(i)
+
+
+def _krylov_local_min_poly(a, den: int, i: int, var: str) -> UniPoly:
+    """Monic minimal polynomial of m = a / den relative to the i-th standard
+    basis vector, for a grid a of (re, im) int pairs, by a fraction-free
+    incremental echelon of the Krylov vectors a^k e_i."""
+    n = len(a)
+    kept = []  # (pivot column, reduced vector, combination)
+    v = [(0, 0)] * n
+    v[i] = (1, 0)
+    for k in range(n + 1):
+        w, comb = v, [(0, 0)] * k + [(1, 0)]
+        for c, row, rcomb in kept:
+            f = w[c]
+            if f == (0, 0):
+                continue
+            w = _zi_cross(w, row, row[c], f)
+            comb = _zi_cross(comb, rcomb + [(0, 0)] * (len(comb) - len(rcomb)), row[c], f)
+        piv = next((j for j, x in enumerate(w) if x != (0, 0)), None)
+        g = (gcd(*(x for pair in w for x in pair), *(x for pair in comb for x in pair)), 0)
+        w, comb = _zi_quo(w, g), _zi_quo(comb, g)
+        if piv is None:
+            return UniPoly(var, [_gi_div(x, comb[k], den ** (k - j)) for j, x in enumerate(comb)])
+        kept.append((piv, w, comb))
+        v = [_zi_dot(row, v) for row in a]
+    raise AssertionError("Krylov chain exceeded matrix size")
+
+
+def lcm_min_poly(m: Matrix, var: str = "z") -> UniPoly:
+    """The minimal polynomial of m as the lcm, by Euclid over Q(i), of its
+    minimal polynomials relative to the standard basis vectors."""
+    den, a = _zi_cleared(m.rows)
+    out = UniPoly.one(var)
+    for i in range(m.nrows):
+        local = _krylov_local_min_poly(a, den, i, var)
+        out = local if not out.degree else out.lcm(local)
+        if out.degree == m.nrows:
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +194,59 @@ def loop_precede(j1, j2) -> bool:
 
 def jordan_nilpotent(parts) -> Matrix:
     """Block-diagonal nilpotent Jordan matrix with the given block sizes."""
-    n = sum(parts)
-    rows = [[ZERO] * n for _ in range(n)]
-    base = 0
-    for size in parts:
-        for i in range(size - 1):
-            rows[base + i][base + i + 1] = ONE
-        base += size
+    return jordan_matrix([(ZERO, size) for size in parts])
+
+
+def rand_partition(rng: random.Random, n: int):
+    """Random parts summing to n, in the order drawn."""
+    parts = []
+    while sum(parts) < n:
+        parts.append(rng.randint(1, n - sum(parts)))
+    return parts
+
+
+def jordan_matrix(blocks) -> Matrix:
+    """Block-diagonal matrix of Jordan blocks, given as (eigenvalue, size)
+    pairs, upper bidiagonal."""
+    diag, sup = [], []
+    for ev, size in blocks:
+        diag += [gr(ev) if isinstance(ev, int) else ev] * size
+        sup += [ONE] * (size - 1) + [ZERO]
+    n = len(diag)
+    return Matrix([[diag[i] if j == i else sup[i] if j == i + 1 else ZERO for j in range(n)] for i in range(n)])
+
+
+def block_diagonal(blocks) -> Matrix:
+    """The block-diagonal matrix of square matrices."""
+    n = sum(b.nrows for b in blocks)
+    rows, base = [], 0
+    for b in blocks:
+        for r in b.rows:
+            rows.append([ZERO] * base + list(r) + [ZERO] * (n - base - b.nrows))
+        base += b.nrows
+    return Matrix(rows)
+
+
+def conjugate(m: Matrix, p: Matrix) -> Matrix:
+    """p m p^-1, with p^-1 from the Gauss-Jordan oracle."""
+    return p * m * rref_solve(p, Matrix.identity(m.nrows))
+
+
+def big_invertible(rng: random.Random, n: int, digits: int, den_digits: int = 0) -> Matrix:
+    """L * U for unit lower and upper triangular L and U with Gaussian
+    integer entries of `digits` digits, so of determinant 1; with
+    `den_digits`, each row is then divided by its own denominator of that
+    many digits."""
+    def unit_triangular(lower):
+        def entry(i, j):
+            if i == j or (j < i) != lower:
+                return ONE if i == j else ZERO
+            return gr(rng.randrange(-10 ** digits, 10 ** digits), rng.randrange(-10 ** digits, 10 ** digits))
+        return Matrix([[entry(i, j) for j in range(n)] for i in range(n)])
+    rows = (unit_triangular(True) * unit_triangular(False)).rows
+    if den_digits:
+        dens = [rng.randrange(10 ** (den_digits - 1), 10 ** den_digits) for _ in rows]
+        rows = [[x / d for x in r] for r, d in zip(rows, dens)]
     return Matrix(rows)
 
 

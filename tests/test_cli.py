@@ -602,6 +602,30 @@ def test_requests_just_inside_the_work_limits_are_answered(monkeypatch, capsys):
     assert code == 0 and max(t["exps"][0] for t in out["curve"]) == d
 
 
+def test_an_over_limit_curve_is_refused_before_its_coefficients_are_parsed(monkeypatch, capsys):
+    # r = 11 with entries of degree 1000, about 1 MB: r and the degrees are
+    # read off the ends of the arrays, not after every coefficient is parsed
+    d = jsonio.MAX_EXPONENT
+    text = json.dumps({"phi": [[["123/45"] * (d + 1) for _ in range(11)] for _ in range(11)]})
+    assert len(text) > 10**6
+    start = time.perf_counter()
+    code, out = run_main(["spectral-curve"], text, monkeypatch, capsys)
+    assert time.perf_counter() - start < 0.3
+    assert (code, out) == (2, {"error": "malformed-input", "detail": f"spectral-curve: the curve degree r*d = 11*{d} "
+                                                                     f"exceeds the limit of {jsonio.MAX_CURVE_DEGREE}"})
+
+
+def test_trailing_zeros_do_not_count_toward_the_curve_degree(monkeypatch, capsys):
+    # r*d at the limit, each array padded with zeros, of three spellings, to
+    # the longest allowed
+    d, pad = jsonio.MAX_CURVE_DEGREE // 2, jsonio.MAX_EXPONENT + 1
+    phi = [[e + [0, "0", {"re": 0, "im": 0}][(i + j) % 3:][:1] * (pad - len(e)) for j, e in enumerate(row)]
+           for i, row in enumerate(_curve(2, d)["phi"])]
+    code, out = run_main(["spectral-curve"], json.dumps({"phi": phi}), monkeypatch, capsys)
+    assert code == 0 and out == run_main(["spectral-curve"], json.dumps(_curve(2, d)), monkeypatch, capsys)[1]
+    assert max(t["exps"][0] for t in out["curve"]) == d
+
+
 def test_the_orbit_order_of_a_1000_digit_block_is_answered(monkeypatch, capsys):
     # a full block of size 10^999 and the hook below it
     full = [{"point": [0], "partition": [10**999]}]

@@ -20,7 +20,8 @@ from azumaya.kahler import MPolyMatrix
 from azumaya.poly import MultiPoly, UniPoly
 from azumaya.scalars import gr
 from azumaya.poly import monomial_values, monomials_up_to
-from helpers import (SMALL_POOL, bareiss_char_poly, brute_min_poly, cofactor_det, naive_rank, rand_invertible, rand_matrix,
+from helpers import (SMALL_POOL, bareiss_char_poly, big_invertible, block_diagonal, brute_min_poly, cofactor_det, conjugate,
+                     jordan_matrix, jordan_nilpotent, lcm_min_poly, naive_rank, rand_invertible, rand_matrix, rand_partition,
                      rand_scalar, rref, rref_kernel, rref_solve)
 
 
@@ -327,6 +328,41 @@ def test_ring_det_refusals_keep_their_text():
         ring_det([[x, zero], [zero, y]], zero, one)
 
 
+def _derogatory(rng, n, kind):
+    """An n x n block-diagonal matrix of the given kind, before conjugation."""
+    ev = rng.choice([gr(0), gr(3), gr(Fraction(-2, 3)), gr(1, 2), gr(Fraction(1, 2), Fraction(-5, 7))])
+    if kind == "scalar":
+        return Matrix.identity(n) * ev
+    if kind == "nilpotent":
+        return jordan_nilpotent(rand_partition(rng, n))
+    if kind == "repeated":  # equal blocks at one eigenvalue
+        k = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        return jordan_matrix([(ev, k)] * (n // k))
+    if kind == "quadratic":  # x^2 - 2, irreducible over Q(i), with Jordan blocks beside it
+        q = rng.randrange(1, n // 2 + 1)
+        rest = [(rng.choice([ev, gr(0, 1)]), p) for p in rand_partition(rng, n - 2 * q)] if n > 2 * q else []
+        return block_diagonal([Matrix([[0, 2], [1, 0]])] * q + ([jordan_matrix(rest)] if rest else []))
+    return jordan_matrix([(rng.choice([ev, gr(0, 1), gr(Fraction(1, 3))]), p) for p in rand_partition(rng, n)])
+
+
+@pytest.mark.parametrize("digits", [1, 10, 30])
+def test_min_poly_matches_the_lcm_oracle(digits):
+    # the product of the local minimal polynomials of out(m) e_i against the
+    # lcm over Q(i) of those of e_i, on derogatory matrices, where the lcm
+    # is not a single local polynomial
+    rng = random.Random(61 + digits)
+    kinds = ("scalar", "nilpotent", "repeated", "quadratic", "mixed")
+    for n in range(9):
+        # every kind at each size with 1-digit conjugators, two with larger ones
+        for kind in kinds if digits == 1 else (kinds[n % 5], kinds[(n + 2) % 5]):
+            if kind == "quadratic" and n < 2 or n == 0 and kind != "scalar":
+                continue
+            b = _derogatory(rng, n, kind) if n else Matrix([])
+            m = conjugate(b, big_invertible(rng, n, digits, den_digits=rng.choice([0, 2]))) if n else b
+            mp = min_poly(m)
+            assert mp == lcm_min_poly(m) == min_poly(b), (n, kind)
+
+
 def test_min_poly_of_a_dense_matrix_of_1000_digit_integers():
     # generic, so the Krylov route of min_poly and the Berkowitz route of
     # char_poly must agree; the Krylov chain over fractions took about 11 s
@@ -350,6 +386,27 @@ def test_kernel_chain():
     g = Matrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
     m = g * Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 5]]) * solve_exact(g, Matrix.identity(3))
     assert kernel_chain(m, 2) == ([1, 2], kernel_basis(m * m))
+
+
+def test_kernel_chain_on_rows_of_different_denominators():
+    # a nilpotent matrix conjugated by one whose rows have distinct
+    # fractional denominators: its rows are cleared by different factors,
+    # so row a of the kernel basis must be scaled by row a's factor, or the
+    # chain read is that of D n for D the diagonal of those factors
+    rng = random.Random(67)
+    for _ in range(40):
+        parts = rand_partition(rng, 5)
+        p = Matrix([[gr(rng.randrange(-9, 10), rng.randrange(-3, 4)) / (i + 2) ** rng.randint(1, 3)
+                     for _ in range(5)] for i in range(5)])
+        if naive_rank(p) < 5:
+            continue
+        n = conjugate(jordan_nilpotent(parts), p)
+        dims, basis = kernel_chain(n, 5)
+        assert dims == [sum(min(x, j) for x in parts) for j in range(1, max(parts) + 1)]
+        power = Matrix.identity(5)
+        for _ in dims:
+            power = power * n
+        assert basis == kernel_basis(power)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,8 @@ from azumaya.orbits import (
     precede,
 )
 from azumaya.scalars import gr
-from helpers import dominates, jordan_nilpotent, loop_precede, rand_invertible
+from helpers import (big_invertible, conjugate, dominates, jordan_matrix, jordan_nilpotent, loop_precede, rand_invertible,
+                     rand_partition)
 
 
 def test_jordan_data_examples():
@@ -71,6 +73,23 @@ def test_pushforward_filtration_matches_jordan_data():
             t = RepPoint(("z",), (g * m * solve_exact(g, Matrix.identity(r)),))
             pf = tuple((pt, ranks) for pt, _, ranks in pushforward(t).entries)
             assert pf == filtration_ranks(jordan_data(t))
+
+
+def test_jordan_data_and_pushforward_of_a_conjugate_by_30_digit_denominators():
+    # each row of the conjugator has its own 30-digit denominator, so the
+    # rows of m - ev are cleared by different factors, which the rows of the
+    # kernel basis in each step of the chain must share
+    rng = random.Random(71)
+    eigen = [gr(0), gr(1, 2), gr(-3, 1) / 5, gr(7)]
+    for _ in range(4):
+        blocks = [(rng.choice(eigen), size) for size in rand_partition(rng, 6)]
+        want = jordan_data_of_matrix(jordan_matrix(blocks))
+        t = RepPoint(("z",), (conjugate(jordan_matrix(blocks), big_invertible(rng, 6, 30, den_digits=30)),))
+        start = time.perf_counter()
+        jd, pf = jordan_data(t), pushforward(t)
+        assert time.perf_counter() - start < 0.5
+        assert jd == want
+        assert tuple((pt, ranks) for pt, _, ranks in pf.entries) == filtration_ranks(want)
 
 
 def test_precede_examples():

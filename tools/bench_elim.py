@@ -55,7 +55,8 @@ def main(argv=None) -> int:
         return collect
 
     # every module that imported a name calls it under its own binding,
-    # linalg itself included (kernel_chain calls kernel_basis)
+    # linalg itself included (solve_exact calls kernel_basis; the kernel
+    # chains call neither name, only the integer core under kernel_basis)
     originals = {name: getattr(linalg, name) for name in NAMES}
     bound = [(m, name) for m in list(sys.modules.values()) for name in NAMES
              if m is not None and getattr(m, "__name__", "").startswith("azumaya")
