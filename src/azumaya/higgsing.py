@@ -8,30 +8,32 @@ eigenvalues of its degree-0 term, a truncated action of the polynomial
 Weyl algebra, and classical spectral curves det(lam - Phi(z)).
 
 Every closed form is one gauge transform: N = A - (tr A / 2) I has
-N^2 = ((a1-a4)^2/4 + a2*a3) I = 0, so g = I - (z/lam) N = exp(-(z/lam) N)
-has g^-1 = I + (z/lam) N, and B = g Bhat g^-1 solves the ODE with
-B(0) = Bhat (B_k = g E_k g^-1 for the matrix units E_k), certified by a
-zero `ode_residual`.  For polynomial a_i the same formulas generally fail
-the ODE, so the closed forms insist on a constant A.
+N^2 = ((a1-a4)^2/4 + a2*a3) I = 0, so with K = N / lam the matrix
+g = I - z K = exp(-z K) has g^-1 = I + z K, and
+
+    B = g Bhat g^-1 = Bhat + z (Bhat K - K Bhat) - z^2 K Bhat K
+
+solves the ODE with B(0) = Bhat (B_k = g E_k g^-1 for the matrix units
+E_k), certified by a zero `ode_residual`.  K is cleared to Gaussian
+integers once, and each closed form is three 2x2 products over Z[i].
+For polynomial a_i the same formulas generally fail the ODE, so the
+closed forms insist on a constant A.
 """
 
 from __future__ import annotations
 
 from .errors import NonConstantA, SolvabilityViolated, SpectrumNotSplit
 from .linalg import Matrix, _berkowitz, char_poly
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly, UniPoly, _trimmed
 from .roots import split_roots
-from .scalars import GaussianRational, ONE, ZERO, from_pair
-from .zi import _regroup, _zi_cleared, _zx_addmul, _zx_deriv, _zx_dot, _zx_out
+from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
+from .zi import _regroup, _zi_cleared, _zi_dot, _zx_addmul, _zx_deriv, _zx_dot, _zx_out, _zx_values
 
 
 class PolyMatrix(Matrix):
     """Square matrix over Q(i)[var], one variable shared by all entries."""
 
     _SEP = ", "
-    # bound here too, so that patching the product of one matrix class
-    # (as bench/tracer.py does) leaves the others alone
-    __mul__ = Matrix.__mul__
 
     def __init__(self, entries, var: str = "z"):
         grid = []
@@ -60,6 +62,40 @@ class PolyMatrix(Matrix):
     @property
     def var(self) -> str:
         return self.vars[0]
+
+    def _var_with(self, other: Matrix) -> str:
+        """The variable of a result of self and other: a constant operand
+        adopts the other's."""
+        if other.vars in ((), self.vars) or other.is_constant():
+            return self.var
+        if self.is_constant():
+            return other.var
+        raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
+
+    def _entrywise(self, other, op) -> "PolyMatrix":
+        var = self._var_with(other)
+        return op(self, other) if var == self.var else PolyMatrix(op(self, other).rows, var)
+
+    def __add__(self, other):
+        return self._entrywise(other, Matrix.__add__)
+
+    def __sub__(self, other):
+        return self._entrywise(other, Matrix.__sub__)
+
+    def __mul__(self, other):
+        """Matrix product over Z[i][z], each row of self and each column of
+        other cleared by its own denominator (d and e) and each entry the
+        dot product `zi._zx_dot` divided by d * e once, or the product by a
+        scalar or an entry."""
+        if not isinstance(other, Matrix):
+            return super().__mul__(other)
+        self._check_product(other)
+        if not isinstance(other, PolyMatrix):  # a matrix over Q(i)
+            other = PolyMatrix(other.rows, self.var)
+        var = self._var_with(other)
+        cols = [_zi_cleared([e.coeffs for e in c]) for c in zip(*other.rows)]
+        return self._new([[UniPoly._new(var, _zx_values(_zx_dot(r, c), d * e)) for e, c in cols]
+                          for d, r in (_zi_cleared([e.coeffs for e in row]) for row in self.rows)], (var,))
 
     def deriv(self) -> "PolyMatrix":
         """Entrywise formal derivative in the matrix variable."""
@@ -151,28 +187,25 @@ def ode_residual(p: HiggsProblem, b: PolyMatrix) -> PolyMatrix:
     return b._new(rows)
 
 
-def _gauge(a1, a2, a3, a4, lam, var: str):
-    """The grids of g = I - (z/lam) N and g^-1 = I + (z/lam) N, where
-    N = A - (tr A / 2) I; generic in the ring of the a_i."""
-    t = UniPoly.x(var) * (ONE / lam)
-    h, p, q = t * (a1 - a4) * (ONE / 2), t * a2, t * a3
-    return ((1 - h, -p), (-q, 1 + h)), ((1 + h, p), (q, 1 - h))
+def _gauge(a1, a2, a3, a4, lam):
+    """K = N / lam for N = A - (tr A / 2) I, cleared once: (den, k) with k
+    the 2x2 grid of the Z[i] pairs of den * K."""
+    den, k = clear_denominators([x / lam for x in ((a1 - a4) / 2, a2, a3, (a4 - a1) / 2)])
+    return den, (k[:2], k[2:])
 
 
-def _formula_solutions(a1, a2, a3, a4, lam, var: str):
-    """B_ij = g E_ij g^-1, in the order E11, E12, E21, E22, with whatever
-    a_i are passed in.
-
-    Correct solutions only for constant a_i under the solvability
-    constraint; exposed separately so the non-constant behavior can be
-    probed empirically through ode_residual.
-    """
-    g, ginv = _gauge(a1, a2, a3, a4, lam, var)
-    return tuple(
-        PolyMatrix([[x * y for y in ginv[j]] for x in (g[0][i], g[1][i])], var)
-        for i in range(2)
-        for j in range(2)
-    )
+def _conjugated(a: PolyMatrix, den: int, k, bhat) -> PolyMatrix:
+    """g Bhat g^-1 = Bhat + z (Bhat K - K Bhat) - z^2 K Bhat K in a's
+    variable, for den * K = k from `_gauge` and Bhat the 2x2 grid of the
+    four values bhat: three 2x2 products over Z[i], and one from_pair per
+    coefficient, of z^j over e * den^j for e the denominator of Bhat."""
+    e, b = clear_denominators(bhat)
+    b, kc = (b[:2], b[2:]), list(zip(*k))
+    kb = [[_zi_dot(r, c) for c in zip(*b)] for r in k]
+    bk, kbk = ([[_zi_dot(r, c) for c in kc] for r in m] for m in (b, kb))
+    return a._new([UniPoly._new(a.var, _trimmed([from_pair(x, y, e), from_pair(s - u, t - v, e * den),
+                                                  from_pair(-w, -q, e * den * den)]))
+                   for (x, y), (s, t), (u, v), (w, q) in zip(*rows)] for rows in zip(b, bk, kb, kbk))
 
 
 def _constant_coefficients(p: HiggsProblem):
@@ -199,8 +232,9 @@ def fundamental_solutions(p: HiggsProblem):
     Requires the solvability constraint and a constant coefficient matrix;
     each returned matrix is asserted to have exactly zero ODE residual.
     """
-    sols = _formula_solutions(*_constant_coefficients(p), p.lam, p.a.var)
-    return tuple(_certified(p, b) for b in sols)
+    den, k = _gauge(*_constant_coefficients(p), p.lam)  # Bhat = E11, E12, E21, E22
+    return tuple(_certified(p, _conjugated(p.a, den, k, [ONE if j == i else ZERO for j in range(4)]))
+                 for i in range(4))
 
 
 def _coordinates(bhat):
@@ -225,10 +259,8 @@ class HiggsSolution:
         """g Bhat g^-1 with Bhat = [[b1, b2], [b3, b4]], the solution with
         B(0) = Bhat, certified by its ODE residual."""
         bhat = _coordinates(bhat)
-        var = p.a.var
-        g, ginv = _gauge(*_constant_coefficients(p), p.lam, var)
-        hat = PolyMatrix([bhat[:2], bhat[2:]], var)
-        return cls(bhat, _certified(p, PolyMatrix(g, var) * hat * PolyMatrix(ginv, var)))
+        den, k = _gauge(*_constant_coefficients(p), p.lam)
+        return cls(bhat, _certified(p, _conjugated(p.a, den, k, bhat)))
 
 
 class BranchReport:

@@ -39,7 +39,8 @@ class Matrix:
 
     `vars` names the variables of the entry ring, () for Q(i).  Every
     arithmetic result keeps the class and the variables of its left
-    operand.
+    operand, except that a constant `PolyMatrix` takes the variable of a
+    non-constant one.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "vars")
@@ -60,11 +61,11 @@ class Matrix:
         self.vars = variables
         return self
 
-    def _new(self, rows) -> "Matrix":
+    def _new(self, rows, variables=None) -> "Matrix":
         """The trusted constructor of arithmetic results: rows already in
-        this matrix's entry ring, kept as they are, under its class and
-        variables."""
-        return object.__new__(type(self))._fill(tuple(map(tuple, rows)), self.vars)
+        the entry ring, kept as they are, under this matrix's class and its
+        variables (or the given ones)."""
+        return object.__new__(type(self))._fill(tuple(map(tuple, rows)), variables or self.vars)
 
     # -- constructors -----------------------------------------------------
 
@@ -144,13 +145,12 @@ class Matrix:
         entry ring."""
         if isinstance(other, Matrix):
             self._check_product(other)
-            cols = tuple(zip(*other.rows))
-            if self.vars == other.vars == ():
-                # over Z[i]: each row and each column cleared by its own denominator
-                cols = [clear_denominators(c) for c in cols]
-                return self._new([from_pair(*_zi_dot(r, c), d * e) for e, c in cols]
-                                 for d, r in map(clear_denominators, self.rows))
-            return self._new([_dot(r, c) for c in cols] for r in self.rows)
+            if other.vars:  # the polynomial matrices multiply in their own classes
+                raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+            # over Z[i]: each row and each column cleared by its own denominator
+            cols = [clear_denominators(c) for c in zip(*other.rows)]
+            return self._new([from_pair(*_zi_dot(r, c), d * e) for e, c in cols]
+                             for d, r in map(clear_denominators, self.rows))
         if not isinstance(other, (UniPoly, MultiPoly)):
             other = GaussianRational.coerce(other)
         return self._new([a * other for a in r] for r in self.rows)

@@ -138,9 +138,9 @@ class UniPoly:
                 return UniPoly._new(self.var, ())
             return UniPoly._new(self.var, tuple([a * c for a in self.coeffs]))
         var = self._common_var(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly._new(var, ())
+        a, b = (self.coeffs, other.coeffs) if len(self.coeffs) <= len(other.coeffs) else (other.coeffs, self.coeffs)
+        if len(a) <= 1:  # a constant operand: one scalar product per coefficient
+            return UniPoly._new(var, tuple([a[0] * c for c in b]) if a else ())
         den, pairs = clear_denominators(a + b)
         re, im = [0] * (len(a) + len(b) - 1), [0] * (len(a) + len(b) - 1)
         _zx_addmul(re, im, pairs[:len(a)], pairs[len(a):])

@@ -16,6 +16,7 @@ from math import gcd, lcm
 
 Rational = Fraction  # the plain rational type, canonical: gcd(|num|, den) == 1, den > 0
 _new = object.__new__
+_PARTS = {int, bool, Fraction, str}  # the types of the parts the constructor reads
 _EXACT = (int, Fraction)  # other operands are left to their reflected method (NotImplemented)
 
 
@@ -49,9 +50,11 @@ class GaussianRational:
         if type(re) is int and type(im) is int:  # the common case: already canonical over 1
             self._a, self._b, self._d = re, im, 1
             return
-        if not all(isinstance(x, (int, str, Fraction)) for x in (re, im)):
+        if not (type(re) in _PARTS and type(im) in _PARTS  # a subclass takes the isinstance test
+                or all(isinstance(x, (int, str, Fraction)) for x in (re, im))):
             raise TypeError(f"cannot interpret {(re, im)!r} as exact rationals")
-        re, im = (Fraction(x) if isinstance(x, str) else x for x in (re, im))
+        re = Fraction(re) if isinstance(re, str) else re
+        im = Fraction(im) if isinstance(im, str) else im
         q, s = re.denominator, im.denominator
         g = gcd(q, s)  # over lcm(q, s) each part stays coprime to the denominator
         self._a, self._b, self._d = re.numerator * (s // g), im.numerator * (q // g), q // g * s

@@ -11,8 +11,8 @@ everything is ints:
   with no trailing (0, 0) (the zero polynomial is []); its accumulator is
   two int lists, re and im.  `_zx_addmul` is its one product, shared by
   `UniPoly.__mul__`, `higgsing.ode_residual` and `_zx_dot`, the dot
-  product with which `higgsing.spectral_curve` runs `linalg._berkowitz`
-  and `_powmod` squares;
+  product with which `higgsing.spectral_curve` runs `linalg._berkowitz`,
+  each entry of a `PolyMatrix` product is summed and `_powmod` squares;
 - a sparse multivariate one is a dict from packed exponents to pairs: the
   exponents (e_1..e_n) pack into the int sum_i e_i * 2^(w*i) (Kronecker
   substitution; von zur Gathen & Gerhard, Modern Computer Algebra, section
@@ -89,6 +89,12 @@ def _zx_out(re, im, den: int) -> tuple:
     while cs[-1] is ZERO:
         cs.pop()
     return tuple(cs)
+
+
+def _zx_values(f, den: int) -> tuple:
+    """The coefficients of f / den as GaussianRationals, for f a dense Z[i]
+    polynomial."""
+    return tuple([from_pair(x, y, den) if x or y else ZERO for x, y in f])
 
 
 def _gi_div(z, c, s: int = 1):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
+from azumaya.higgsing import PolyMatrix
 from azumaya.linalg import Matrix
 from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
 from azumaya.scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair, gr
@@ -376,6 +377,29 @@ def mpoly_matrix_mul(a, b):
         raise ValueError(f"dimension mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
     cols = tuple(zip(*b.rows))
     return a._new([mpoly_dot(r, c) for c in cols] for r in a.rows)
+
+
+def poly_matrix_mul(a, b):
+    """The product of two PolyMatrix, each entry a sum of `unipoly_mul`s;
+    the result is in the variable of the non-constant operand, or of a when
+    both are constant."""
+    var = b.var if a.is_constant() and not b.is_constant() else a.var
+    cols = tuple(zip(*b.rows))
+    return PolyMatrix([[sum((unipoly_mul(x, y) for x, y in zip(r, c)), UniPoly.zero(var)) for c in cols]
+                       for r in a.rows], var)
+
+
+def gauge_solutions(a1, a2, a3, a4, lam, var: str):
+    """B_ij = g E_ij g^-1 in the order E11, E12, E21, E22, for
+    g = I - (z/lam) N, g^-1 = I + (z/lam) N and N = A - (tr A / 2) I, built
+    entry by entry from UniPoly products of whatever a_i are passed in:
+    the closed forms of `higgsing` for constant a_i under the solvability
+    constraint, and a probe of how they fail for polynomial ones."""
+    t = UniPoly.x(var) * (ONE / lam)
+    h, p, q = t * (a1 - a4) * (ONE / 2), t * a2, t * a3
+    g, ginv = ((1 - h, -p), (-q, 1 + h)), ((1 + h, p), (q, 1 - h))
+    return tuple(PolyMatrix([[x * y for y in ginv[j]] for x in (g[0][i], g[1][i])], var)
+                 for i in range(2) for j in range(2))
 
 
 def cofactor_det(rows, zero, one):

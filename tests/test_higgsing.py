@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from azumaya import higgsing
 from azumaya.errors import NonConstantA, SolvabilityViolated, SpectrumNotSplit
 from azumaya.higgsing import (
     HiggsProblem,
@@ -15,13 +16,12 @@ from azumaya.higgsing import (
     solvability_check,
     spectral_curve,
     weyl_commutator_check,
-    _formula_solutions,
 )
 from azumaya.linalg import Matrix, char_poly
 from azumaya.poly import MultiPoly, UniPoly
 from azumaya.roots import split_roots
 from azumaya.scalars import I, gr
-from helpers import cofactor_det, rand_scalar
+from helpers import cofactor_det, gauge_solutions, poly_matrix_mul, rand_scalar
 
 
 z = UniPoly.x("z")
@@ -122,11 +122,87 @@ def test_nonconstant_coefficients_break_the_closed_forms():
     a3 = UniPoly.constant(-u / c, "z")
     p = HiggsProblem(PolyMatrix([[a1, a2], [a3, a4]]), 1)
     assert solvability_check(p)
-    candidates = _formula_solutions(a1, a2, a3, a4, gr(1), "z")
+    candidates = gauge_solutions(a1, a2, a3, a4, gr(1), "z")
     residuals = [ode_residual(p, b) for b in candidates]
     # The closed forms differentiate as if the coefficients were constant,
     # so every one of them fails the ODE here.
     assert all(not r.is_zero() for r in residuals)
+
+
+def _gaussian(rng, digits):
+    b = 10 ** digits - 1
+    return gr(rng.randint(-b, b), rng.randint(-b, b))
+
+
+@pytest.mark.parametrize("digits", [1, 10, 30])
+def test_closed_forms_match_the_gauge_oracle(digits):
+    rng = random.Random(40 + digits)
+    for _ in range(8):
+        # a1 - a4 = 2u, a2 = u c, a3 = -u / c: solvable for any s, u and c != 0
+        s, u, c = _gaussian(rng, digits), _gaussian(rng, digits), _gaussian(rng, digits) or gr(1)
+        a = [s + u, u * c, -u / c, s - u]
+        lam = (_gaussian(rng, digits) or gr(3)) / rng.randint(1, 10 ** digits)
+        p = HiggsProblem(PolyMatrix([a[:2], a[2:]]), lam)
+        want = gauge_solutions(*a, lam, "z")
+        assert fundamental_solutions(p) == want
+        for bhat in ([gr(0)] * 4, [_gaussian(rng, digits) / rng.randint(1, 10 ** digits) for _ in range(4)],
+                     [gr(0), _gaussian(rng, digits), gr(0), gr(0)], [gr(1), gr(0), gr(0), gr(1)]):
+            b = PolyMatrix.zeros(2)
+            for x, sol in zip(bhat, want):
+                b = b + sol * x
+            assert HiggsSolution.combine(p, bhat).b == b
+
+
+def test_a_corrupted_closed_form_is_refused(monkeypatch):
+    p = solvable_problem(gr(Fraction(2, 3)), gr(-3), I)
+    gauge = higgsing._gauge
+
+    def corrupted(*args):
+        den, ((k11, k12), row) = gauge(*args)
+        return den, ((k11, (k12[0] + 1, k12[1])), row)
+
+    monkeypatch.setattr(higgsing, "_gauge", corrupted)
+    with pytest.raises(AssertionError, match="^closed-form solution failed the ODE"):
+        fundamental_solutions(p)
+    with pytest.raises(AssertionError, match="^closed-form solution failed the ODE"):
+        HiggsSolution.combine(p, (1, 2, 0, -1))
+
+
+def test_a_constant_operand_takes_the_variable_of_the_other():
+    t = UniPoly.x("t")
+    c, m = PolyMatrix([[1, 2], [3, 4]], "z"), PolyMatrix([[t, 1], [0, t]], "t")
+    cases = [(c * m, [[t, 2 * t + 1], [3 * t, 4 * t + 3]]), (m * c, [[t + 3, 2 * t + 4], [3 * t, 4 * t]]),
+             (c + m, [[t + 1, 3], [3, t + 4]]), (m + c, [[t + 1, 3], [3, t + 4]]),
+             (c - m, [[1 - t, 1], [3, 4 - t]]), (m - c, [[t - 1, -1], [-3, t - 4]])]
+    for got, rows in cases:
+        assert got.vars == ("t",) and all(e.var == "t" for row in got.rows for e in row)
+        assert got == PolyMatrix(rows, "t")
+    assert (c * c).vars == (c + c).vars == ("z",)
+    zm = PolyMatrix([[z, 0], [0, 1]])
+    for op in (lambda: zm * m, lambda: m * zm, lambda: zm + m, lambda: m - zm):
+        with pytest.raises(ValueError, match="^variable mismatch"):
+            op()
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_poly_matrix_product_matches_the_entrywise_oracle(r):
+    rng = random.Random(60 + r)
+    for _ in range(30):
+        var_a, var_b = rng.choice([("z", "z"), ("z", "z"), ("t", "z"), ("z", "t")])
+        a, b = (PolyMatrix([[UniPoly(v, [_rand_gaussian(rng) for _ in range(rng.randint(0, d + 1))])
+                             for _ in range(r)] for _ in range(r)], v)
+                for v, d in ((var_a, rng.randint(0, 3)), (var_b, rng.randint(0, 3))))
+        if var_a != var_b and not (a.is_constant() or b.is_constant()):
+            with pytest.raises(ValueError, match="^variable mismatch"):
+                a * b
+            continue
+        got = a * b
+        assert got == poly_matrix_mul(a, b) and got.var == (var_b if a.is_constant() and not b.is_constant() else var_a)
+        assert all(e.var == got.var for row in got.rows for e in row)
+    q = Matrix([[_rand_gaussian(rng) for _ in range(r)] for _ in range(r)])
+    assert a * q == poly_matrix_mul(a, PolyMatrix(q.rows, a.var))
+    with pytest.raises(ValueError, match="^variable mismatch"):
+        q * a
 
 
 def _rand_gaussian(rng):

@@ -5,7 +5,8 @@ import pytest
 
 from azumaya.linalg import Matrix
 from azumaya.poly import MultiPoly, UniPoly, monomials_up_to
-from azumaya.scalars import GaussianRational, gr
+from azumaya.scalars import GaussianRational, clear_denominators, gr
+from azumaya.zi import _zx_addmul, _zx_out
 from helpers import SMALL_POOL, rand_matrix, rand_scalar, unipoly_mul
 
 
@@ -185,6 +186,35 @@ def test_products_match_the_object_level_oracle():
         assert got.coeffs == want.coeffs
     with pytest.raises(ValueError, match="^variable mismatch: z vs v$"):
         z * UniPoly.x("v")
+
+
+def _zi_path_product(a, b):
+    """a * b as the Z[i] pass makes it: both cleared to one denominator,
+    multiplied by `zi._zx_addmul` and divided by its square."""
+    var = a.var if b.degree < 1 else b.var
+    if not a.coeffs or not b.coeffs:
+        return UniPoly(var, ())
+    den, pairs = clear_denominators(a.coeffs + b.coeffs)
+    n = len(a.coeffs) + len(b.coeffs) - 1
+    re, im = [0] * n, [0] * n
+    _zx_addmul(re, im, pairs[:len(a.coeffs)], pairs[len(a.coeffs):])
+    return UniPoly._new(var, _zx_out(re, im, den * den))
+
+
+def test_a_constant_operand_gives_the_product_of_the_zi_pass():
+    rng = random.Random(31)
+    pool = WIDE_POOL + [gr(Fraction(10**12 + 1, 3 * 10**9), -7), gr(Fraction(-5, 10**15), Fraction(1, 9))]
+
+    def poly(var, length):
+        return UniPoly(var, [rand_scalar(rng, pool) for _ in range(length)])
+
+    cases = [(poly("z", 1), poly(rng.choice("zw"), rng.randrange(0, 7))) for _ in range(150)]
+    cases += [(poly("w", rng.randrange(0, 2)), poly("z", rng.randrange(0, 2))) for _ in range(50)]
+    for c, p in cases:
+        for a, b in ((c, p), (p, c)):
+            got, want = a * b, _zi_path_product(a, b)
+            assert got.var == want.var
+            assert [(x._a, x._b, x._d) for x in got.coeffs] == [(x._a, x._b, x._d) for x in want.coeffs]
 
 
 def _assert_canonical_multi(p, variables):

@@ -167,3 +167,26 @@ def test_equality_and_hash_against_int_fraction_and_str():
     assert a == b and hash(a) == hash(b)
     c = gr(1, 2) * gr(Fraction(1, 4), -1) / gr(1, 2) * 2 + gr(0, Fraction(5, 4))
     assert a == c and hash(a) == hash(c) and (a._a, a._b, a._d) == (c._a, c._b, c._d) == (2, -3, 4)
+
+
+def test_the_constructor_reads_ints_bools_fractions_and_strings_only():
+    class Int(int):
+        pass
+
+    class Frac(Fraction):
+        pass
+
+    assert gr(True, False) == gr(1) and gr(False, True) == I
+    assert gr(Int(3), Frac(1, 2)) == gr(3, Fraction(1, 2))
+    assert gr("3/6", Fraction(-2, 4)) == gr(Fraction(1, 2), Fraction(-1, 2))
+    for bad in (1.5, None, 1j, [1], Fraction(1, 2) * 1.0):
+        for args in ((bad,), (1, bad), (bad, "1/2"), (Fraction(1, 3), bad)):
+            with pytest.raises(TypeError, match="^cannot interpret .* as exact rationals$"):
+                gr(*args)
+    for text in ("abc", "1/2/3", "", "i"):
+        with pytest.raises(ValueError):
+            gr(text)
+        with pytest.raises(ValueError):
+            gr(1, text)
+    with pytest.raises(ZeroDivisionError):
+        gr("1/0")

@@ -19,7 +19,13 @@ each input of `large_inputs`, best of `--repeat`:
   entries each have their own denominator of 3 or of 30 digits;
 - `jordan_data` at r = 6 and 8 of Jordan blocks at three eigenvalues,
   conjugated by L * U of 30-digit entries with each row divided by its
-  own 30-digit denominator.
+  own 30-digit denominator;
+- `fundamental_solutions` and `HiggsSolution.combine` (with a random
+  Bhat of as many digits) of a constant solvable A of Gaussian entries of
+  1, 10, 30 and 100 digits and lam over a denominator of as many digits;
+- the `PolyMatrix` product of two 4x4 matrices of degree-10 entries of
+  3-digit Gaussian coefficients, each entry over its own 30-digit
+  denominator, and each coefficient over its own.
 
 Two checkouts are compared by running the script from one of them on each:
 
@@ -82,6 +88,19 @@ def large_inputs():
         return az.Matrix([[gauss(3) / rng.randint(10 ** (den_digits - 1), 10 ** den_digits - 1) for _ in range(n)]
                           for _ in range(n)])
 
+    def solvable(digits):
+        """A constant HiggsProblem: a1 - a4 = 2u, a2 = u c, a3 = -u / c."""
+        s, u, c = gauss(digits), gauss(digits), gauss(digits) or az.gr(1)
+        lam = (gauss(digits) or az.gr(1)) / rng.randint(1, 10 ** digits)
+        return az.HiggsProblem(az.PolyMatrix([[s + u, u * c], [-u / c, s - u]]), lam)
+
+    def poly_matrix(same_den):
+        def entry():
+            d = rng.randint(10 ** 29, 10 ** 30 - 1)
+            return az.UniPoly("z", [gauss(3) / (d if same_den else rng.randint(10 ** 29, 10 ** 30 - 1))
+                                    for _ in range(11)])
+        return az.PolyMatrix([[entry() for _ in range(4)] for _ in range(4)])
+
     out = []
     ev = az.gr(2, -1)
     for digits in (1, 10, 30, 100):
@@ -95,6 +114,13 @@ def large_inputs():
                       (8, [(az.gr(0, 1), 3), (az.gr(0, 1), 1), (az.gr(2), 2), (az.gr(7, 3), 2)])):
         m = conjugated(blocks, row_fractional(r, 30))
         out.append((f"jordan_data r={r} 30-digit denominators", lambda m=m: jordan_data_of_matrix(m)))
+    for digits in (1, 10, 30, 100):
+        p, bhat = solvable(digits), [gauss(digits) for _ in range(4)]
+        out.append((f"fundamental_solutions {digits}-digit", lambda p=p: az.fundamental_solutions(p)))
+        out.append((f"combine {digits}-digit", lambda p=p, bhat=bhat: az.HiggsSolution.combine(p, bhat)))
+    for same_den, label in ((True, "entry"), (False, "coefficient")):
+        a, b = poly_matrix(same_den), poly_matrix(same_den)
+        out.append((f"PolyMatrix product 4x4 degree 10, 30-digit denominator per {label}", lambda a=a, b=b: a * b))
     return out
 
 

@@ -23,7 +23,8 @@ factor x^2 - 2 that does not split, `split_roots` of the large inputs of
 below (entries of up to 1000 digits, pivots that are not real, tall
 sparse intertwiner systems and a wide evaluation system), and
 `ode_residual` with a polynomial A, against random B and against the
-closed-form B of non-constant a_i),
+closed forms g E_ij g^-1 built from its non-constant a_i with public
+`UniPoly` arithmetic, which fail the ODE),
 and prints `bench/run.py`'s `digest` of each output (or the exception it
 raised). Last it prints the exit code and the stdout of
 `cli.main(["scenario", "run-all"])`. It writes no file. Two checkouts
@@ -187,7 +188,6 @@ def elimination_inputs():
 def extra():
     """(kind, call) for each library call of the fixed group."""
     import azumaya as az
-    from azumaya.higgsing import _formula_solutions
     from azumaya.linalg import solve_exact
 
     rng = random.Random("digest-extra")
@@ -231,6 +231,15 @@ def extra():
         g = az.Matrix(rows)
         ginv = solve_exact(g, az.Matrix.identity(r))
         return point(*ms), point(*(g * m * ginv for m in ms))
+
+    def gauge_candidates(problem):
+        """g E_ij g^-1 for g = I - (z/lam) N, g^-1 = I + (z/lam) N and
+        N = A - (tr A / 2) I, in the order E11, E12, E21, E22."""
+        (a1, a2), (a3, a4) = problem.a.rows
+        t = az.UniPoly.x("z") * (1 / problem.lam)
+        h, p, q = t * (a1 - a4) * Fraction(1, 2), t * a2, t * a3
+        g, ginv = ((1 - h, -p), (-q, 1 + h)), ((1 + h, p), (q, 1 - h))
+        return [az.PolyMatrix([[x * y for y in ginv[j]] for x in (g[0][i], g[1][i])]) for i in range(2) for j in range(2)]
 
     def unit(i, j):
         """The 3x3 matrix unit E_ij."""
@@ -279,7 +288,7 @@ def extra():
         calls.append((name, lambda fn=getattr(az.linalg, name), args=args: fn(*args)))
     for degree in (1, 2, 3):
         problem = az.HiggsProblem(phi(2, degree), scalar() or az.gr(3))
-        for b in (phi(2, degree + 1), *_formula_solutions(*problem.a.rows[0], *problem.a.rows[1], problem.lam, "z")):
+        for b in (phi(2, degree + 1), *gauge_candidates(problem)):
             calls.append(("ode_residual", lambda problem=problem, b=b: az.ode_residual(problem, b)))
     return calls
 
