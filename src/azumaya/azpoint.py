@@ -61,36 +61,36 @@ class RepPoint:
         return len(self.matrices)
 
 
-class SupportLengthData:
-    """Finite support with local lengths: ((point, length), ...) with the
-    points pairwise distinct, sorted by coordinatewise (re, im)."""
+def _point(pt) -> tuple:
+    return tuple(GaussianRational.coerce(x) for x in pt)
 
-    __slots__ = ("entries",)
+
+def _point_key(pt) -> tuple:
+    """The coordinatewise (re, im) order of points."""
+    return tuple(x.sort_key() for x in pt)
+
+
+class _PointKeyed:
+    """Data over finitely many points: `entries`, a tuple of (point, ...)
+    with the points pairwise distinct, sorted by `_point_key`, the order
+    of `_joint_decomposition`.  Each class reads an entry with
+    its own `_entry` and refuses a repeated point with its own
+    `_REPEATED` message."""
+
+    __slots__ = ()
 
     def __init__(self, entries):
-        norm = []
-        seen = set()
-        for pt, ln in entries:
-            pt = tuple(GaussianRational.coerce(x) for x in pt)
-            ln = int(ln)
-            if ln <= 0:
-                raise ValueError("lengths must be positive")
-            key = tuple(x.sort_key() for x in pt)
-            if key in seen:
-                raise ValueError("duplicate support point")
-            seen.add(key)
-            norm.append((pt, ln))
-        norm.sort(key=lambda e: tuple(x.sort_key() for x in e[0]))
-        self.entries = tuple(norm)
-
-    def total(self) -> int:
-        return sum(ln for _, ln in self.entries)
-
-    def points(self):
-        return tuple(pt for pt, _ in self.entries)
+        keyed = {}
+        for e in entries:
+            e = self._entry(e)
+            key = _point_key(e[0])
+            if key in keyed:
+                raise ValueError(self._REPEATED)
+            keyed[key] = e
+        self.entries = tuple(keyed[key] for key in sorted(keyed))
 
     def __eq__(self, other):
-        if not isinstance(other, SupportLengthData):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.entries == other.entries
 
@@ -98,13 +98,32 @@ class SupportLengthData:
         return hash(self.entries)
 
     def __repr__(self):
-        body = ", ".join(
-            "(" + ",".join(str(x) for x in pt) + f"):{ln}" for pt, ln in self.entries
-        )
-        return "{" + body + "}"
+        body = ", ".join("(" + ",".join(map(str, pt)) + "):" + ":".join(map(str, data)) for pt, *data in self.entries)
+        return self._TAG + "{" + body + "}"
 
 
-class PushforwardModule:
+class SupportLengthData(_PointKeyed):
+    """Finite support with local lengths: ((point, length), ...)."""
+
+    __slots__ = ("entries",)
+    _REPEATED, _TAG = "duplicate support point", ""
+
+    @staticmethod
+    def _entry(e):
+        pt, ln = e
+        pt, ln = _point(pt), int(ln)
+        if ln <= 0:
+            raise ValueError("lengths must be positive")
+        return pt, ln
+
+    def total(self) -> int:
+        return sum(ln for _, ln in self.entries)
+
+    def points(self):
+        return tuple(pt for pt, _ in self.entries)
+
+
+class PushforwardModule(_PointKeyed):
     """Support-length data enriched with the local nilpotent filtration.
 
     Per point: (point, length, ranks) where ranks[j-1] is the rank of the
@@ -112,25 +131,15 @@ class PushforwardModule:
     """
 
     __slots__ = ("entries",)
+    _REPEATED, _TAG = "duplicate point in pushforward data", "P"
 
-    def __init__(self, entries):
-        norm = []
-        for pt, ln, ranks in entries:
-            pt = tuple(GaussianRational.coerce(x) for x in pt)
-            norm.append((pt, int(ln), tuple(int(k) for k in ranks)))
-        norm.sort(key=lambda e: tuple(x.sort_key() for x in e[0]))
-        self.entries = tuple(norm)
+    @staticmethod
+    def _entry(e):
+        pt, ln, ranks = e
+        return _point(pt), int(ln), tuple(int(k) for k in ranks)
 
     def support(self) -> SupportLengthData:
         return SupportLengthData((pt, ln) for pt, ln, _ in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, PushforwardModule):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +241,7 @@ def _joint_decomposition(t: RepPoint):
         shift = _dot(prefix, weights)  # sum_{i<arity} i*p_i: the prefix is one short
         for c, dims, _ in eigen_chains(_dot(local, weights)):
             out.append((prefix + ((c - shift) / t.arity,), dims))
-    out.sort(key=lambda s: tuple(x.sort_key() for x in s[0]))
+    out.sort(key=lambda s: _point_key(s[0]))
     return out
 
 

@@ -138,7 +138,7 @@ def run_higgsing_solve(payload):
     bhat = [jsonio.parse_scalar(x) for x in jsonio.parse_array(bhat, "bhat")]
     sol = jsonio.build(HiggsSolution.combine, problem, bhat)  # certifies a zero ODE residual
     eig = sol.b.var + "'"  # internal and never printed: any name but the matrix variable's
-    bi = sol.b.char_poly_bivariate(eig)
+    bi = spectral_curve(sol.b, eig)
     b0cp = char_poly(sol.b0, eig)
     report = classify_deformation(problem, sol)
     out.update(

@@ -74,21 +74,18 @@ class PolyMatrix(Matrix):
 
     def _entrywise(self, other, op) -> "PolyMatrix":
         var = self._var_with(other)
-        return op(self, other) if var == self.var else PolyMatrix(op(self, other).rows, var)
-
-    def __add__(self, other):
-        return self._entrywise(other, Matrix.__add__)
-
-    def __sub__(self, other):
-        return self._entrywise(other, Matrix.__sub__)
+        out = super()._entrywise(other, op)
+        return out if var == self.var else PolyMatrix(out.rows, var)
 
     def __mul__(self, other):
         """Matrix product over Z[i][z], each row of self and each column of
         other cleared by its own denominator (d and e) and each entry the
         dot product `zi._zx_dot` divided by d * e once, or the product by a
-        scalar or an entry."""
+        scalar or an entry; a constant matrix takes the variable of a
+        non-constant entry."""
         if not isinstance(other, Matrix):
-            return super().__mul__(other)
+            out = super().__mul__(other)  # an entry raises on a variable mismatch
+            return out._fill(out.rows, (other.var,)) if isinstance(other, UniPoly) and other.degree > 0 else out
         self._check_product(other)
         if not isinstance(other, PolyMatrix):  # a matrix over Q(i)
             other = PolyMatrix(other.rows, self.var)
@@ -101,19 +98,11 @@ class PolyMatrix(Matrix):
         """Entrywise formal derivative in the matrix variable."""
         return self._new([a.deriv() for a in row] for row in self.rows)
 
-    def eval_at(self, z0) -> Matrix:
-        z0 = GaussianRational.coerce(z0)
-        return Matrix([[a(z0) for a in row] for row in self.rows])
-
     def is_constant(self) -> bool:
         return all(a.is_constant() for row in self.rows for a in row)
 
     def constant_part(self) -> Matrix:
         return Matrix([[a.constant_term() for a in row] for row in self.rows])
-
-    def char_poly_bivariate(self, eig_var: str = "v") -> MultiPoly:
-        """det(v*I - B) as an exact polynomial in (matrix variable, v)."""
-        return spectral_curve(self, eig_var)
 
 
 def spectral_curve(phi: PolyMatrix, eig_var: str = "lambda") -> MultiPoly:

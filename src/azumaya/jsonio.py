@@ -271,18 +271,24 @@ def parse_presentation(obj) -> AffinePresentation:
     return build(AffinePresentation, variables, relators)
 
 
-def parse_support(obj) -> SupportLengthData:
+def _parse_points(obj, name: str, what: str, field: str, read) -> list:
+    """The (point, read(value)) pairs of a list of {point, field} objects,
+    or of such a list under the key name.lower() or "entries"."""
     if isinstance(obj, dict):
-        obj = obj.get("support", obj.get("entries"))
+        obj = obj.get(name.lower(), obj.get("entries"))
     if not isinstance(obj, list):
-        raise InputError("support-length data is a list of {point, length}")
+        raise InputError(f"{what} is a list of {{point, {field}}}")
     entries = []
     for e in obj:
         try:
-            entries.append((tuple(parse_scalar(x) for x in parse_array(e["point"], "point")),
-                            parse_int(e["length"], "length")))
+            entries.append((tuple(parse_scalar(x) for x in parse_array(e["point"], "point")), read(e[field])))
         except (KeyError, TypeError) as exc:
-            raise InputError(f"bad support entry {e!r}") from exc
+            raise InputError(f"bad {name} entry {e!r}") from exc
+    return entries
+
+
+def parse_support(obj) -> SupportLengthData:
+    entries = _parse_points(obj, "support", "support-length data", "length", lambda v: parse_int(v, "length"))
     if sum(n for _, n in entries) > MAX_SUPPORT_LENGTH:
         raise InputError(f"support lengths exceed the limit of {MAX_SUPPORT_LENGTH} in total")
     return build(SupportLengthData, entries)
@@ -306,19 +312,8 @@ def pushforward_json(pf: PushforwardModule):
 
 
 def parse_jordan(obj) -> JordanData:
-    if isinstance(obj, dict):
-        obj = obj.get("jordan", obj.get("entries"))
-    if not isinstance(obj, list):
-        raise InputError("Jordan data is a list of {point, partition}")
-    entries = []
-    for e in obj:
-        try:
-            pt = tuple(parse_scalar(x) for x in parse_array(e["point"], "point"))
-            parts = tuple(parse_int(x, "partition") for x in parse_array(e["partition"], "partition"))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad Jordan entry {e!r}") from exc
-        entries.append((pt, parts))
-    return build(JordanData, entries)
+    return build(JordanData, _parse_points(obj, "Jordan", "Jordan data", "partition", lambda v: tuple(
+        parse_int(x, "partition") for x in parse_array(v, "partition"))))
 
 
 def jordan_json(j: JordanData):
@@ -416,21 +411,21 @@ def cycle_json(cyc: WeightedCycle):
 # higgsing
 
 
+def _parse_grid(obj, what: str, entry) -> list:
+    """The rows of a nonempty nested array: entry(e) of each array e, and
+    the scalar of every other entry, which the matrix type lifts."""
+    if not isinstance(obj, list) or not obj:
+        raise InputError(what)
+    return [[entry(e) if isinstance(e, list) else parse_scalar(e) for e in parse_array(row, "matrix row")]
+            for row in obj]
+
+
 def parse_poly_matrix(obj, var: str = "z") -> PolyMatrix:
     if isinstance(obj, dict):
         var = parse_var(obj.get("var", var))
         obj = obj.get("entries")
-    if not isinstance(obj, list) or not obj:
-        raise InputError("a polynomial matrix is a nested array of coefficient arrays")
-    grid = []
-    for row in obj:
-        new = []
-        for e in parse_array(row, "matrix row"):
-            if isinstance(e, list):
-                new.append(parse_unipoly(e, var))
-            else:
-                new.append(UniPoly.constant(parse_scalar(e), var))
-        grid.append(new)
+    grid = _parse_grid(obj, "a polynomial matrix is a nested array of coefficient arrays",
+                       lambda e: parse_unipoly(e, var))
     return build(PolyMatrix, grid, var)
 
 
@@ -467,17 +462,7 @@ def parse_mpoly_matrix(obj, variables=None) -> MPolyMatrix:
     if variables is None:
         raise InputError("matrix over a polynomial ring needs variables")
     variables = tuple(variables)
-    if not isinstance(obj, list) or not obj:
-        raise InputError("matrix entries must be a nested array of term lists")
-    grid = []
-    for row in obj:
-        new = []
-        for e in parse_array(row, "matrix row"):
-            if isinstance(e, list):
-                new.append(parse_terms(e, variables))
-            else:
-                new.append(MultiPoly.constant(variables, parse_scalar(e)))
-        grid.append(new)
+    grid = _parse_grid(obj, "matrix entries must be a nested array of term lists", lambda e: parse_terms(e, variables))
     return build(MPolyMatrix, variables, grid)
 
 

@@ -17,6 +17,8 @@ exposed as an oracle.
 
 from __future__ import annotations
 
+from operator import neg
+
 from .linalg import Matrix, commute
 from .poly import MultiPoly
 from .scalars import GaussianRational, ONE
@@ -136,21 +138,15 @@ class FormalForm:
     def __sub__(self, other: "FormalForm") -> "FormalForm":
         return self + (-other)
 
+    def _map_pre(self, f) -> "FormalForm":
+        """The form with f applied to the pre-factor of each term."""
+        return FormalForm(self.vars, self.r, self.degree, [FormTerm(f(t.pre), t.factors) for t in self.terms])
+
     def __neg__(self) -> "FormalForm":
-        return FormalForm(
-            self.vars,
-            self.r,
-            self.degree,
-            tuple(FormTerm(-t.pre, t.factors) for t in self.terms),
-        )
+        return self._map_pre(neg)
 
     def left_mul(self, a: MPolyMatrix) -> "FormalForm":
-        return FormalForm(
-            self.vars,
-            self.r,
-            self.degree,
-            tuple(FormTerm(a * t.pre, t.factors) for t in self.terms),
-        )
+        return self._map_pre(lambda pre: a * pre)
 
     def right_mul(self, b: MPolyMatrix) -> "FormalForm":
         out = []
@@ -162,12 +158,7 @@ class FormalForm:
 
     def scale(self, c) -> "FormalForm":
         c = GaussianRational.coerce(c)
-        return FormalForm(
-            self.vars,
-            self.r,
-            self.degree,
-            tuple(FormTerm(t.pre * c, t.factors) for t in self.terms),
-        )
+        return self._map_pre(lambda pre: pre * c)
 
     def _compat(self, other: "FormalForm"):
         if self.vars != other.vars or self.r != other.r or self.degree != other.degree:
@@ -175,11 +166,6 @@ class FormalForm:
 
     def canonical_terms(self):
         return tuple(sorted(self.terms, key=lambda t: repr((t.pre, t.factors))))
-
-    def same_terms(self, other: "FormalForm") -> bool:
-        """Syntactic identity after term-list canonicalization; a sound
-        but very incomplete equality check."""
-        return self.canonical_terms() == other.canonical_terms()
 
 
 def d(m: MPolyMatrix) -> FormalForm:

@@ -25,11 +25,11 @@ is out(m) e_i for out the product so far.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .poly import MultiPoly, UniPoly
 from .roots import split_roots
-from .scalars import GaussianRational, ONE, ZERO, clear_denominators, from_pair
+from .scalars import GaussianRational, ONE, ZERO, _power, clear_denominators, from_pair
 from .zi import (_gi_div, _zi_adddot, _zi_cleared, _zi_cross, _zi_dot, _zi_grids, _zi_neg, _zi_quo, _zi_unpacked,
                  _zx_dot)
 
@@ -88,16 +88,6 @@ class Matrix:
     def from_columns(cls, cols) -> "Matrix":
         return cls(list(zip(*cols))) if cols else cls([])
 
-    @classmethod
-    def jordan_block(cls, eigenvalue, size: int) -> "Matrix":
-        ev = GaussianRational.coerce(eigenvalue)
-        rows = [[ZERO] * size for _ in range(size)]
-        for i in range(size):
-            rows[i][i] = ev
-            if i + 1 < size:
-                rows[i][i + 1] = ONE
-        return cls(rows)
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -125,17 +115,16 @@ class Matrix:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        """self + other or self - other (op is add or sub), entry by entry."""
         self._same_shape(other)
-        return self._new(
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        )
+        return self._new(map(op, r1, r2) for r1, r2 in zip(self.rows, other.rows))
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return self._new(
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        )
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "Matrix":
         return self._new([-a for a in r] for r in self.rows)
@@ -168,14 +157,7 @@ class Matrix:
             e = self.rows[0][0] if self.rows else ONE
             one, zero = e ** 0, e * 0
             return self._new([one if i == j else zero for j in range(self.nrows)] for i in range(self.nrows))
-        out, base = None, self
-        while True:  # binary powering; no product by the identity, no square past the top bit
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return _power(self, k)
 
     def _check_product(self, other: "Matrix"):
         if self.ncols != other.nrows:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .azpoint import RepPoint, SupportLengthData
+from .azpoint import RepPoint, SupportLengthData, _PointKeyed, _point
 from .linalg import Matrix, eigen_chains
-from .scalars import GaussianRational
 
 
 def check_partition(parts) -> tuple:
@@ -44,46 +43,22 @@ def partition_filtration(parts) -> tuple:
         j += 1
 
 
-class JordanData:
-    """Canonical per-point Jordan data: ((point, partition), ...) sorted by
-    the coordinatewise (re, im) order of the points."""
+class JordanData(_PointKeyed):
+    """Canonical per-point Jordan data: ((point, partition), ...)."""
 
     __slots__ = ("entries",)
+    _REPEATED, _TAG = "duplicate point in Jordan data", "J"
 
-    def __init__(self, entries):
-        norm = []
-        seen = set()
-        for pt, parts in entries:
-            pt = tuple(GaussianRational.coerce(x) for x in pt)
-            parts = check_partition(parts)
-            key = tuple(x.sort_key() for x in pt)
-            if key in seen:
-                raise ValueError("duplicate point in Jordan data")
-            seen.add(key)
-            norm.append((pt, parts))
-        norm.sort(key=lambda e: tuple(x.sort_key() for x in e[0]))
-        self.entries = tuple(norm)
+    @staticmethod
+    def _entry(e):
+        pt, parts = e
+        return _point(pt), check_partition(parts)
 
     def support(self) -> SupportLengthData:
         return SupportLengthData((pt, sum(parts)) for pt, parts in self.entries)
 
     def total(self) -> int:
         return sum(sum(parts) for _, parts in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, JordanData):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        body = ", ".join(
-            "(" + ",".join(str(x) for x in pt) + f"):{parts}"
-            for pt, parts in self.entries
-        )
-        return "J{" + body + "}"
 
 
 # An orbit is identified with its Jordan-form data; no extra geometry is
@@ -146,17 +121,3 @@ def filtration_ranks(j: JordanData):
     """Per point, the rank sequence of powers of the nilpotent action."""
     return tuple((pt, partition_filtration(parts)) for pt, parts in j.entries)
 
-
-def partitions_of(n: int):
-    """All partitions of n, each weakly decreasing, in lexicographic order."""
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - k, k, prefix + [k])
-
-    rec(n, n, [])
-    return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .scalars import GaussianRational, ONE, ZERO, clear_denominators
+from .scalars import GaussianRational, ONE, ZERO, _power, clear_denominators
 from .zi import _zi_addmul, _zi_packed, _zi_unpacked, _zx_addmul, _zx_out
 
 _object_new = object.__new__
@@ -151,14 +151,7 @@ class UniPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = UniPoly.one(self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else UniPoly.one(self.var)
 
     def divmod(self, other: "UniPoly"):
         """Exact field-coefficient long division: (quotient, remainder)."""
@@ -338,10 +331,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def total_degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def sorted_terms(self):
         """Terms in the canonical order: ascending (total degree, exponents)."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -400,14 +389,7 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.constant(self.vars, ONE)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else MultiPoly.constant(self.vars, ONE)
 
     def partial(self, index: int) -> "MultiPoly":
         """Formal partial derivative with respect to the index-th variable."""

@@ -73,9 +73,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
-    def is_real(self) -> bool:
-        return not self._b
-
     def is_integer(self) -> bool:
         return not self._b and self._d == 1
 
@@ -137,10 +134,7 @@ class GaussianRational:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        out, base, k = ONE, (ONE / self if k < 0 else self), abs(k)
-        while k:
-            out, base, k = out * base if k & 1 else out, base * base, k >> 1
-        return out
+        return _power(ONE / self if k < 0 else self, abs(k)) if k else ONE
 
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
@@ -171,6 +165,20 @@ class GaussianRational:
         return f"gr({self.re!r}, {self.im!r})" if self._b else f"gr({self.re!r})"
 
     __radd__, __rmul__ = __add__, __mul__
+
+
+def _power(base, k: int):
+    """base ** k for k >= 1 by binary powering, in the ring of base: no
+    product by one and no square past the top bit of k.  The `__pow__` of
+    each value type calls it after its own rule for k <= 0."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
 
 
 def clear_denominators(values):

@@ -206,6 +206,21 @@ def rand_partition(rng: random.Random, n: int):
     return parts
 
 
+def partitions_of(n: int):
+    """All partitions of n, each weakly decreasing, in lexicographic order."""
+    out = []
+
+    def rec(remaining, maxpart, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for k in range(min(remaining, maxpart), 0, -1):
+            rec(remaining - k, k, prefix + [k])
+
+    rec(n, n, [])
+    return out
+
+
 def jordan_matrix(blocks) -> Matrix:
     """Block-diagonal matrix of Jordan blocks, given as (eigenvalue, size)
     pairs, upper bidiagonal."""

@@ -21,6 +21,7 @@ from azumaya.higgsing import (
     classify_deformation,
     fundamental_solutions,
     ode_residual,
+    spectral_curve,
     weyl_commutator_check,
 )
 from azumaya.kahler import (
@@ -38,7 +39,6 @@ from azumaya.linalg import Matrix, char_poly, min_poly, rank
 from azumaya.orbits import (
     JordanData,
     partition_power_rank,
-    partitions_of,
     precede,
 )
 from azumaya.poly import MultiPoly
@@ -62,6 +62,7 @@ from helpers import (
     brute_vanishing_at_points,
     dominates,
     jordan_nilpotent,
+    partitions_of,
     rand_scalar,
     rand_upper_triangular,
     span_signature,
@@ -108,7 +109,7 @@ def test_criterion_02_higgsing_bullet_claims():
         # (a) the degree-0 term is exactly the coordinate matrix
         assert s.b0 == Matrix([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
         # (b) char poly of the full solution equals that of the degree-0 term
-        assert s.b.char_poly_bivariate("v") == char_poly(s.b0, "v").as_multi(
+        assert spectral_curve(s.b, "v") == char_poly(s.b0, "v").as_multi(
             (s.b.var, "v"), 1
         )
         # (c) in the simple-spectrum branch the kernel ideal is

@@ -216,6 +216,17 @@ def test_pushforward_reads_the_filtration_of_the_one_nilpotent_coordinate():
         assert pushforward(RepPoint(("x", "y"), (y, x))).entries == (((q, p), r, ranks),)
 
 
+def test_a_repeated_point_is_refused_by_every_point_keyed_type():
+    with pytest.raises(ValueError, match="^duplicate point in pushforward data$"):
+        PushforwardModule([((1, 2), 2, (1,)), ((gr(1), gr(2)), 1, ())])
+    with pytest.raises(ValueError, match="^duplicate support point$"):
+        SupportLengthData([((1,), 2), ((gr(1),), 1)])
+    pf = PushforwardModule([((2,), 1, ()), ((gr(1, -1),), 2, (1,)), ((1,), 3, (1,))])
+    assert pf.entries == (((gr(1, -1),), 2, (1,)), ((gr(1),), 3, (1,)), ((gr(2),), 1, ()))
+    assert repr(pf) == "P{(1-1i):2:(1,), (1):3:(1,), (2):1:()}"
+    assert repr(pf.support()) == "{(1-1i):2, (1):3, (2):1}"
+
+
 def test_no_space_is_restricted_after_the_last_split(monkeypatch):
     sizes = []
     restrict = azpoint._restrict

@@ -4,7 +4,9 @@ bench/tracer.py times each matrix class's product through the `__mul__`
 in that class's own namespace, times the `UniPoly` and `MultiPoly`
 products through the `__mul__` in their class dicts, and counts Q(i)
 operations through the `GaussianRational` operators in its class dict. bench/run.py's `digest`
-reads a value through `type(x).__slots__`. The check runs in a fresh
+reads a value through `type(x).__slots__`, so each point-keyed class
+(`SupportLengthData`, `PushforwardModule`, `JordanData`) names `entries`
+in its own. The check runs in a fresh
 interpreter, so the tracer's patching of the library stays out of the
 other tests.
 """
@@ -46,6 +48,9 @@ def scalar_counts(fn):
     return [tracer.counts[k] - b for k, b in zip(scalar_keys, before)]
 
 x, y = az.gr(1, 2), az.gr(Fraction(1, 3), -1)
+point_keyed = [(az.SupportLengthData([((1,), 2)]), az.SupportLengthData([((1,), 3)])),
+               (az.PushforwardModule([((1,), 2, (1,))]), az.PushforwardModule([((2,), 2, (1,))])),
+               (az.JordanData([((1,), (2,))]), az.JordanData([((1,), (1, 1))]))]
 print(json.dumps({
     "calls": {name: tracer.calls[name] for name in names},
     "poly_calls": poly_calls,
@@ -53,6 +58,7 @@ print(json.dumps({
     "scalar_digest": digest(az.gr(Fraction(1, 2))) != digest(az.gr(Fraction(1, 3))),
     "digest_tells_apart": digest(p1) != digest(p2),
     "digest_stable": digest(p1) == digest(az.PolyMatrix([[z, 1], [0, 1]])),
+    "point_keyed_digest": [digest(a) != digest(b) for a, b in point_keyed],
 }))
 """
 
@@ -69,3 +75,4 @@ def test_tracer_and_digest_see_each_matrix_class():
     assert out["digest_tells_apart"] and out["digest_stable"]
     assert out["scalar_counts"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert out["scalar_digest"]
+    assert out["point_keyed_digest"] == [True, True, True]

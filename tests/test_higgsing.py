@@ -184,6 +184,19 @@ def test_a_constant_operand_takes_the_variable_of_the_other():
             op()
 
 
+def test_a_constant_matrix_times_a_polynomial_takes_its_variable():
+    t = UniPoly.x("t")
+    c = PolyMatrix([[1, 2], [3, 4]], "z")
+    got = c * t
+    assert got.vars == ("t",) and all(e.var == "t" for row in got.rows for e in row)
+    assert got == PolyMatrix([[t, 2 * t], [3 * t, 4 * t]], "t")
+    assert (c * UniPoly.constant(2, "t")).vars == ("z",)
+    assert c * UniPoly.constant(2, "t") == PolyMatrix([[2, 4], [6, 8]], "z")
+    assert (PolyMatrix([[z, 0], [0, 1]]) * (z + 1)).vars == ("z",)
+    with pytest.raises(ValueError, match="^variable mismatch"):
+        PolyMatrix([[z, 0], [0, 1]]) * t
+
+
 @pytest.mark.parametrize("r", range(1, 5))
 def test_poly_matrix_product_matches_the_entrywise_oracle(r):
     rng = random.Random(60 + r)
@@ -264,7 +277,7 @@ def test_degree_zero_term_and_char_poly_claim():
         bhat = [rand_scalar(rng) for _ in range(4)]
         s = HiggsSolution.combine(p, bhat)
         assert s.b0 == Matrix([[bhat[0], bhat[1]], [bhat[2], bhat[3]]])
-        assert s.b.char_poly_bivariate("v") == char_poly(s.b0, "v").as_multi(
+        assert spectral_curve(s.b, "v") == char_poly(s.b0, "v").as_multi(
             ("z", "v"), 1
         )
 
@@ -367,7 +380,7 @@ def test_spectral_curve_contains_graph_points():
         )
         curve = spectral_curve(phi)
         for z0 in (gr(0), gr(1), gr(-2), I):
-            m = phi.eval_at(z0)
+            m = Matrix([[a(z0) for a in row] for row in phi.rows])
             try:
                 roots = split_roots(char_poly(m, "t"))
             except SpectrumNotSplit:

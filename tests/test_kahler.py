@@ -190,8 +190,6 @@ def test_non_commuting_images_rejected():
 
 def test_formal_form_syntactic_equality():
     m = MPolyMatrix(V1, [[MultiPoly.variable(V1, "z"), 0], [0, 1]])
-    assert d(m).same_terms(d(m))
-    assert not d(m).same_terms(d(m).scale(2))
     assert (d(m) - d(m)).terms == () or trace_form(d(m) - d(m)).is_zero()
 
 

@@ -42,7 +42,7 @@ def test_commutator_examples():
 def test_rank_examples():
     assert rank(Matrix.zeros(3)) == 0
     assert rank(Matrix.identity(5)) == 5
-    assert rank(Matrix.jordan_block(0, 3) ** 2) == 1
+    assert rank(jordan_matrix([(0, 3)]) ** 2) == 1
 
 
 def test_matrix_power_by_squaring():
@@ -376,7 +376,7 @@ def test_min_poly_of_a_dense_matrix_of_1000_digit_integers():
 
 def test_kernel_chain():
     e1, e2, e3 = Matrix.identity(3).rows
-    assert kernel_chain(Matrix.jordan_block(0, 3), 3) == ([1, 2, 3], (e1, e2, e3))
+    assert kernel_chain(jordan_matrix([(0, 3)]), 3) == ([1, 2, 3], (e1, e2, e3))
     assert kernel_chain(Matrix.zeros(2), 2) == ([2], Matrix.identity(2).rows)
     # eigenvalue 0 of multiplicity 2 in a 3x3 matrix: the kernels settle at 2
     assert kernel_chain(Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 5]]), 2) == ([1, 2], (e1, e2))

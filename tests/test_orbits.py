@@ -15,12 +15,11 @@ from azumaya.orbits import (
     minimal_orbit,
     orbit_closure_contains,
     partition_power_rank,
-    partitions_of,
     precede,
 )
 from azumaya.scalars import gr
-from helpers import (big_invertible, conjugate, dominates, jordan_matrix, jordan_nilpotent, loop_precede, rand_invertible,
-                     rand_partition)
+from helpers import (big_invertible, conjugate, dominates, jordan_matrix, jordan_nilpotent, loop_precede, partitions_of,
+                     rand_invertible, rand_partition)
 
 
 def test_jordan_data_examples():

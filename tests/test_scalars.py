@@ -112,7 +112,6 @@ def assert_same(x, ref):
     assert str(x) == ref.str() and repr(x) == ref.repr()
     assert hash(x) == ref.hash()
     assert x.sort_key() == (ref.re, ref.im)
-    assert x.is_real() == (not ref.im)
     assert x.is_integer() == (not ref.im and ref.re.denominator == 1)
     assert x.is_zero() == (not ref.re and not ref.im)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from azumaya.errors import ProfileError
-from azumaya.orbits import JordanData, partitions_of, precede
+from azumaya.orbits import JordanData, precede
 from azumaya.scalars import I, gr
 from azumaya.torus import (
     AzCircleMorphism,
@@ -21,6 +21,7 @@ from azumaya.torus import (
     total_class,
     validate_profile,
 )
+from helpers import partitions_of
 
 SQ = TorusGeometry(I)
 

@@ -1,5 +1,6 @@
-"""Time the benchmark's operations kind by kind, and a ladder of large
-inputs, best of k, and write BENCH_kinds.json.
+"""Time the benchmark's operations kind by kind, the calls of the root
+extractor and of the eliminations, and a ladder of large inputs, best of
+k, and write BENCH_kinds.json.
 
     python3 tools/bench_kinds.py ROOT [--seeds 901 902 903] [--repeat 5] \\
         [--out BENCH_kinds.json]
@@ -9,8 +10,13 @@ and the workload builders from ROOT/bench, which it does not change. For
 each workload (`spectral`, `symbolic`, `requests`) it builds the
 operations of every seed, groups them by kind, and times each kind as the
 sum over its operations, best of `--repeat` passes, all in one process.
-Outputs are not checked; a refusal is timed like an answer. Then it times
-each input of `large_inputs`, best of `--repeat`:
+Outputs are not checked; a refusal is timed like an answer, here and
+below. The first, untimed pass of `spectral` runs with `split_roots`,
+`rank`, `kernel_basis` and `solve_exact` wrapped in every module that
+binds them, to collect the arguments that pass hands them (`solve_exact`
+calls `kernel_basis`, so those calls count too); `calls` times each of
+the four on all of its arguments together, best of `--repeat`. Then it
+times each input of the ladder, best of `--repeat`:
 
 - `min_poly` of an 8x8 derogatory matrix, two Jordan blocks of size 4 at
   one Gaussian eigenvalue, conjugated by a dense invertible matrix of
@@ -25,7 +31,10 @@ each input of `large_inputs`, best of `--repeat`:
   1, 10, 30 and 100 digits and lam over a denominator of as many digits;
 - the `PolyMatrix` product of two 4x4 matrices of degree-10 entries of
   3-digit Gaussian coefficients, each entry over its own 30-digit
-  denominator, and each coefficient over its own.
+  denominator, and each coefficient over its own;
+- `split_roots` of each input of `digest_outputs.large_root_inputs`, and
+  each call of `digest_outputs.elimination_inputs` (the same script
+  directory).
 
 Two checkouts are compared by running the script from one of them on each:
 
@@ -41,17 +50,62 @@ import os
 import platform
 import random
 import sys
-
-from bench_roots import best_of
+import time
 
 WORKLOADS = ("spectral", "symbolic", "requests")
+CALLS = (("roots", "split_roots"), ("linalg", "rank"), ("linalg", "kernel_basis"), ("linalg", "solve_exact"))
+
+
+def best_of(k, fn):
+    best = float("inf")
+    for _ in range(k):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def run_all(fns):
+    for fn in fns:
+        try:
+            fn()
+        except Exception:  # a refusal is part of an operation's answer
+            pass
+
+
+def collecting(run):
+    """Run run() with each function of CALLS wrapped, under every name in
+    an `azumaya` module that refers to it, and return the original
+    functions and, for each, the argument tuples of its calls."""
+    originals = {name: getattr(sys.modules[f"azumaya.{mod}"], name) for mod, name in CALLS}
+    inputs = {name: [] for name in originals}
+
+    def collector(name, fn):
+        def collect(*a):
+            inputs[name].append(a)
+            return fn(*a)
+        return collect
+
+    bound = [(m, key, name) for m in list(sys.modules.values())
+             if m is not None and getattr(m, "__name__", "").startswith("azumaya")
+             for key, val in list(vars(m).items()) for name, fn in originals.items() if val is fn]
+    for mod, key, name in bound:
+        setattr(mod, key, collector(name, originals[name]))
+    try:
+        run()
+    finally:
+        for mod, key, name in bound:
+            setattr(mod, key, originals[name])
+    return originals, inputs
 
 
 def large_inputs():
     """(label, call) for the ladder above, seeded."""
     import azumaya as az
+    from azumaya import linalg
     from azumaya.linalg import rank, solve_exact
     from azumaya.orbits import jordan_data_of_matrix
+    from digest_outputs import elimination_inputs, large_root_inputs
 
     rng = random.Random("kinds")
 
@@ -121,6 +175,9 @@ def large_inputs():
     for same_den, label in ((True, "entry"), (False, "coefficient")):
         a, b = poly_matrix(same_den), poly_matrix(same_den)
         out.append((f"PolyMatrix product 4x4 degree 10, 30-digit denominator per {label}", lambda a=a, b=b: a * b))
+    out += [(f"split_roots {label}", lambda p=p: az.split_roots(p)) for label, p in large_root_inputs()]
+    out += [(f"{name} {label}", lambda fn=getattr(linalg, name), a=a: fn(*a))
+            for label, name, a in elimination_inputs()]
     return out
 
 
@@ -135,28 +192,29 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True  # no __pycache__ in the checkout either
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
 
+    import azumaya  # noqa: F401  (imports every module that binds a name of CALLS)
     import cli_requests
     import spectral
     import symbolic
 
     builders = {"spectral": spectral.build, "symbolic": symbolic.build, "requests": cli_requests.build}
-
-    def run_all(fns):
-        for fn in fns:
-            try:
-                fn()
-            except Exception:  # a refusal is part of an operation's answer
-                pass
-
     kinds = {}
     for name in WORKLOADS:
         groups = {}
         for seed in args.seeds:
             for op in builders[name](seed):
                 groups.setdefault(op.kind, []).append(op.fn)
-        run_all([fn for fns in groups.values() for fn in fns])  # warm up
+        warm_up = [fn for fns in groups.values() for fn in fns]
+        if name == "spectral":
+            originals, inputs = collecting(lambda: run_all(warm_up))
+        else:
+            run_all(warm_up)
         kinds[name] = {kind: {"ops": len(fns), "best_s": round(best_of(args.repeat, lambda: run_all(fns)), 6)}
                        for kind, fns in sorted(groups.items())}
+    calls = {}
+    for name, fn in originals.items():
+        thunks = [lambda a=a, fn=fn: fn(*a) for a in inputs[name]]
+        calls[name] = {"calls": len(thunks), "best_s": round(best_of(args.repeat, lambda: run_all(thunks)), 6)}
 
     result = {
         "python": platform.python_version(),
@@ -164,7 +222,9 @@ def main(argv=None) -> int:
         "repeat": args.repeat,
         "seeds": args.seeds,
         "kinds": kinds,
-        "large": {label: {"best_s": round(best_of(args.repeat, fn), 6)} for label, fn in large_inputs()},
+        "calls": calls,
+        "large": {label: {"best_s": round(best_of(args.repeat, lambda: run_all([fn])), 6)}
+                  for label, fn in large_inputs()},
     }
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
