@@ -156,10 +156,6 @@ class FormalForm:
             out.append(FormTerm(t.pre, head + ((dm, post * b),)))
         return FormalForm(self.vars, self.r, self.degree, out)
 
-    def scale(self, c) -> "FormalForm":
-        c = GaussianRational.coerce(c)
-        return self._map_pre(lambda pre: pre * c)
-
     def _compat(self, other: "FormalForm"):
         if self.vars != other.vars or self.r != other.r or self.degree != other.degree:
             raise ValueError("form shape mismatch")

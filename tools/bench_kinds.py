@@ -10,13 +10,16 @@ and the workload builders from ROOT/bench, which it does not change. For
 each workload (`spectral`, `symbolic`, `requests`) it builds the
 operations of every seed, groups them by kind, and times each kind as the
 sum over its operations, best of `--repeat` passes, all in one process.
-Outputs are not checked; a refusal is timed like an answer, here and
-below. The first, untimed pass of `spectral` runs with `split_roots`,
+Outputs are not checked, and any exception there is timed like an
+answer. The first, untimed pass of `spectral` runs with `split_roots`,
 `rank`, `kernel_basis` and `solve_exact` wrapped in every module that
 binds them, to collect the arguments that pass hands them (`solve_exact`
 calls `kernel_basis`, so those calls count too); `calls` times each of
 the four on all of its arguments together, best of `--repeat`. Then it
-times each input of the ladder, best of `--repeat`:
+times each input of the ladder, best of `--repeat`. In `calls` and the
+ladder only a refusal (`ValueError` or `DomainError`) is timed like an
+answer; any other exception stops the script, so a broken routine cannot
+read as a fast one:
 
 - `min_poly` of an 8x8 derogatory matrix, two Jordan blocks of size 4 at
   one Gaussian eigenvalue, conjugated by a dense invertible matrix of
@@ -65,11 +68,11 @@ def best_of(k, fn):
     return best
 
 
-def run_all(fns):
+def run_all(fns, refusals=(Exception,)):
     for fn in fns:
         try:
             fn()
-        except Exception:  # a refusal is part of an operation's answer
+        except refusals:  # a refusal is part of an operation's answer
             pass
 
 
@@ -193,6 +196,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
 
     import azumaya  # noqa: F401  (imports every module that binds a name of CALLS)
+    from azumaya.errors import DomainError
     import cli_requests
     import spectral
     import symbolic
@@ -211,10 +215,12 @@ def main(argv=None) -> int:
             run_all(warm_up)
         kinds[name] = {kind: {"ops": len(fns), "best_s": round(best_of(args.repeat, lambda: run_all(fns)), 6)}
                        for kind, fns in sorted(groups.items())}
+    refusals = (ValueError, DomainError)
     calls = {}
     for name, fn in originals.items():
         thunks = [lambda a=a, fn=fn: fn(*a) for a in inputs[name]]
-        calls[name] = {"calls": len(thunks), "best_s": round(best_of(args.repeat, lambda: run_all(thunks)), 6)}
+        calls[name] = {"calls": len(thunks),
+                       "best_s": round(best_of(args.repeat, lambda: run_all(thunks, refusals)), 6)}
 
     result = {
         "python": platform.python_version(),
@@ -223,7 +229,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "kinds": kinds,
         "calls": calls,
-        "large": {label: {"best_s": round(best_of(args.repeat, lambda: run_all([fn])), 6)}
+        "large": {label: {"best_s": round(best_of(args.repeat, lambda: run_all([fn], refusals)), 6)}
                   for label, fn in large_inputs()},
     }
     with open(args.out, "w") as f:
